@@ -31,7 +31,7 @@ fn all_raise(
     builder = builder.graph(graph);
     for i in 0..n {
         let log = Arc::clone(&resolved_log);
-        builder = builder.fallback_handler(format!("r{i}"), move |hc| {
+        builder = builder.fallback_handler(format!("r{i}"), async move |hc| {
             log.lock()
                 .unwrap()
                 .push(hc.handling().expect("inside handler").clone());
@@ -47,11 +47,12 @@ fn all_raise(
         .build();
     for i in 0..n {
         let a = action.clone();
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(0.5))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(0.5)).await?;
                 rc.raise(Exception::new(format!("e{i}")))
             })
+            .await
             .map(|_| ())
         });
     }
@@ -170,7 +171,8 @@ fn baselines_handle_single_exception_with_bystanders() {
         }
         builder = builder.graph(graph);
         for i in 0..3u32 {
-            builder = builder.fallback_handler(format!("r{i}"), |_| Ok(HandlerVerdict::Recovered));
+            builder =
+                builder.fallback_handler(format!("r{i}"), async |_| Ok(HandlerVerdict::Recovered));
         }
         let action = builder.build().unwrap();
         let mut sys = System::builder()
@@ -180,14 +182,15 @@ fn baselines_handle_single_exception_with_bystanders() {
             .build();
         for i in 0..3u32 {
             let a = action.clone();
-            sys.spawn(format!("T{i}"), move |ctx| {
-                ctx.enter(&a, &format!("r{i}"), |rc| {
-                    rc.work(secs(0.2))?;
+            sys.spawn(format!("T{i}"), async move |ctx| {
+                ctx.enter(&a, &format!("r{i}"), async |rc| {
+                    rc.work(secs(0.2)).await?;
                     if i == 0 {
                         rc.raise(Exception::new("only"))?;
                     }
-                    rc.work(secs(30.0))
+                    rc.work(secs(30.0)).await
                 })
+                .await
                 .map(|_| ())
             });
         }

@@ -12,10 +12,9 @@
 //! ```
 //!
 //! The merged document carries the deterministic and `critical_path`
-//! sections only: the `wall_clock` counters (scheduler park/wake
-//! handoffs, driver stage timers) are host facts that legitimately
-//! differ between a sharded and an unsharded run, so they are dropped
-//! rather than misleadingly summed. That normalization makes
+//! sections only: the `wall_clock` counters (driver stage timers, plus
+//! the executor's park/wake counts) measure the host and the executor,
+//! not the protocol, so they are dropped rather than summed. That normalization makes
 //! merge-equality a byte equality: merging the 4 shard documents equals
 //! merging the single unsharded document.
 

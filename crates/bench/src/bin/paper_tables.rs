@@ -287,7 +287,8 @@ fn run_counting(n: u32, raisers: &[u32], protocol: Arc<dyn ResolutionProtocol>) 
     }
     builder = builder.graph(graph);
     for i in 0..n {
-        builder = builder.fallback_handler(format!("r{i}"), |_| Ok(HandlerVerdict::Recovered));
+        builder =
+            builder.fallback_handler(format!("r{i}"), async |_| Ok(HandlerVerdict::Recovered));
     }
     let action = builder.build().unwrap();
     let mut sys = System::builder()
@@ -297,14 +298,15 @@ fn run_counting(n: u32, raisers: &[u32], protocol: Arc<dyn ResolutionProtocol>) 
     for i in 0..n {
         let a = action.clone();
         let raises = raisers.contains(&i);
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(0.1))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(0.1)).await?;
                 if raises {
                     rc.raise(Exception::new(format!("e{i}")))?;
                 }
-                rc.work(secs(30.0))
+                rc.work(secs(30.0)).await
             })
+            .await
             .map(|_| ())
         });
     }
@@ -397,9 +399,11 @@ fn signalling() {
                 builder = builder.role(format!("r{i}"), i);
             }
             builder = builder.graph(graph);
-            builder = builder.handler("r0", "e", |_| Ok(HandlerVerdict::Undo));
+            builder = builder.handler("r0", "e", async |_| Ok(HandlerVerdict::Undo));
             for i in 1..n as u32 {
-                builder = builder.handler(format!("r{i}"), "e", |_| Ok(HandlerVerdict::Recovered));
+                builder = builder.handler(format!("r{i}"), "e", async |_| {
+                    Ok(HandlerVerdict::Recovered)
+                });
             }
             let action = builder.build().unwrap();
             let mut sys = System::builder()
@@ -407,14 +411,15 @@ fn signalling() {
                 .build();
             for i in 0..n as u32 {
                 let a = action.clone();
-                sys.spawn(format!("T{i}"), move |ctx| {
-                    ctx.enter(&a, &format!("r{i}"), |rc| {
-                        rc.work(secs(0.1))?;
+                sys.spawn(format!("T{i}"), async move |ctx| {
+                    ctx.enter(&a, &format!("r{i}"), async |rc| {
+                        rc.work(secs(0.1)).await?;
                         if i == 0 {
                             rc.raise(Exception::new("e"))?;
                         }
-                        rc.work(secs(30.0))
+                        rc.work(secs(30.0)).await
                     })
+                    .await
                     .map(|_| ())
                 });
             }

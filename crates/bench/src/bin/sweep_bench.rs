@@ -28,12 +28,11 @@
 //! it but a structural collapse (an accidental O(n²), a lost wake-up
 //! path, a per-seed allocation storm) cannot slip through unnoticed.
 //!
-//! `--max-handoffs-per-seed N` gates the scheduler's park counter the
-//! same way: with `--workers 1` a virtual-time seed costs a fixed number
-//! of futex handoffs (~57/seed at PR 5), and a lost targeted-wakeup
+//! `--max-handoffs-per-seed N` gates the executor's park counter the
+//! same way: a seed suspends its participant tasks a fixed, deterministic
+//! number of times (~57/seed by default), and a lost targeted-wakeup
 //! optimisation shows up as that number exploding long before wall-clock
-//! noise would reveal it. The count is wall-clock nondeterministic, so
-//! the gate is a ceiling, not an equality.
+//! noise would reveal it.
 //!
 //! Alongside the bench JSON, the run writes the merged `metrics.json`
 //! (all cases' [`SweepMetrics`] unioned) next to `--out` — protocol

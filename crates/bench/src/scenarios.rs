@@ -79,8 +79,8 @@ pub fn nested_abort(params: NestedAbortParams) -> SystemReport {
         .role("r2", 2u32)
         .graph(graph);
     for role in ["r0", "r1", "r2"] {
-        outer = outer.fallback_handler(role, move |hc| {
-            hc.work(secs(HANDLER_WORK))?;
+        outer = outer.fallback_handler(role, async move |hc| {
+            hc.work(secs(HANDLER_WORK)).await?;
             Ok(HandlerVerdict::Recovered)
         });
     }
@@ -90,12 +90,12 @@ pub fn nested_abort(params: NestedAbortParams) -> SystemReport {
     let nested = ActionDef::builder("nested")
         .role("n1", 1u32)
         .role("n2", 2u32)
-        .abort_handler("n1", move |ac| {
-            ac.work(secs(t_abo))?;
+        .abort_handler("n1", async move |ac| {
+            ac.work(secs(t_abo)).await?;
             Ok(Some(Exception::new("E3")))
         })
-        .abort_handler("n2", move |ac| {
-            ac.work(secs(t_abo))?;
+        .abort_handler("n2", async move |ac| {
+            ac.work(secs(t_abo)).await?;
             Ok(None)
         })
         .build()
@@ -112,12 +112,13 @@ pub fn nested_abort(params: NestedAbortParams) -> SystemReport {
 
     let iterations = params.iterations;
     let o0 = outer.clone();
-    sys.spawn("T0", move |ctx| {
+    sys.spawn("T0", async move |ctx| {
         for _ in 0..iterations {
-            ctx.enter(&o0, "r0", |rc| {
-                rc.work(secs(NESTED_ABORT_WORK))?;
+            ctx.enter(&o0, "r0", async |rc| {
+                rc.work(secs(NESTED_ABORT_WORK)).await?;
                 rc.raise(Exception::new("E1"))
-            })?;
+            })
+            .await?;
         }
         Ok(())
     });
@@ -126,13 +127,15 @@ pub fn nested_abort(params: NestedAbortParams) -> SystemReport {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
+        sys.spawn(name, async move |ctx| {
             for _ in 0..iterations {
-                ctx.enter(&o, &orole, |rc| {
-                    rc.work(secs(NESTED_ABORT_WORK * 0.5))?;
-                    rc.enter(&n, &nrole, |nc| nc.work(secs(600.0)))?;
+                ctx.enter(&o, &orole, async |rc| {
+                    rc.work(secs(NESTED_ABORT_WORK * 0.5)).await?;
+                    rc.enter(&n, &nrole, async |nc| nc.work(secs(600.0)).await)
+                        .await?;
                     Ok(())
-                })?;
+                })
+                .await?;
             }
             Ok(())
         });
@@ -191,8 +194,8 @@ pub fn simultaneous_raise(
     }
     action = action.graph(graph);
     for i in 0..params.n {
-        action = action.fallback_handler(format!("r{i}"), move |hc| {
-            hc.work(secs(HANDLER_WORK))?;
+        action = action.fallback_handler(format!("r{i}"), async move |hc| {
+            hc.work(secs(HANDLER_WORK)).await?;
             Ok(HandlerVerdict::Recovered)
         });
     }
@@ -206,11 +209,12 @@ pub fn simultaneous_raise(
         .build();
     for i in 0..params.n {
         let a = action.clone();
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(SIMULTANEOUS_WORK))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(SIMULTANEOUS_WORK)).await?;
                 rc.raise(Exception::new(format!("e{i}")))
             })
+            .await
             .map(|_| ())
         });
     }

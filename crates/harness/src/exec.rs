@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use caa_core::exception::{Exception, ExceptionId};
 use caa_core::outcome::HandlerVerdict;
 use caa_core::time::{secs, VirtualDuration};
-use caa_runtime::{ActionDef, Ctx, SharedObject, Step, System, SystemReport};
+use caa_runtime::{ActionDef, BoxStep, Ctx, SharedObject, Step, System, SystemReport};
 use caa_simnet::LatencyModel;
 
 use crate::arena::ExecutionArena;
@@ -141,8 +141,8 @@ fn build_node(
     let delta = secs(scenario.delta);
     for &(t, verdict) in &plan.verdicts {
         let signal_exc = ExceptionId::new(plan.signal_exception());
-        builder = builder.fallback_handler(role_name(t), move |hc| {
-            hc.work(delta)?;
+        builder = builder.fallback_handler(role_name(t), async move |hc| {
+            hc.work(delta).await?;
             Ok(match verdict {
                 VerdictChoice::Recovered => HandlerVerdict::Recovered,
                 VerdictChoice::Undo => HandlerVerdict::Undo,
@@ -158,8 +158,8 @@ fn build_node(
                 .abort_raises_eab
                 .contains(&t)
                 .then(|| ExceptionId::new(plan.eab_exception(t)));
-            builder = builder.abort_handler(role_name(t), move |ac| {
-                ac.work(t_abort)?;
+            builder = builder.abort_handler(role_name(t), async move |ac| {
+                ac.work(t_abort).await?;
                 Ok(eab.clone().map(Exception::new))
             });
         }
@@ -202,21 +202,21 @@ fn build_node(
 /// Drains the role's app inbox for exactly `dur` of virtual time, so the
 /// phase consumes the same duration whether or not messages arrive (the
 /// alignment discipline the Lemma 1 oracle relies on).
-fn listen(rc: &mut Ctx, dur: VirtualDuration) -> Step<()> {
+async fn listen(rc: &mut Ctx, dur: VirtualDuration) -> Step<()> {
     let deadline = rc.now().saturating_add(dur);
     loop {
         let remaining = deadline.duration_since(rc.now());
         if remaining.is_zero() {
             return Ok(());
         }
-        let _ = rc.recv_app_timeout(remaining)?;
+        let _ = rc.recv_app_timeout(remaining).await?;
     }
 }
 
 /// Computes through one phase, issuing this thread's object operations at
 /// their fixed offsets. Acquisition waits extend the phase beyond `dur`
 /// (deterministically); the trailing work is clamped to the deadline.
-fn compute_with_ops(
+async fn compute_with_ops(
     rc: &mut Ctx,
     dur: VirtualDuration,
     ops: &[&ObjectOp],
@@ -228,71 +228,77 @@ fn compute_with_ops(
         let target = start.saturating_add(VirtualDuration::from_nanos(op.delay_ns));
         let lead = target.duration_since(rc.now());
         if !lead.is_zero() {
-            rc.work(lead)?;
+            rc.work(lead).await?;
         }
         let obj = &objects[op.object as usize];
         if op.update {
-            rc.update(obj, |v| *v = v.wrapping_add(1))?;
+            rc.update(obj, |v| *v = v.wrapping_add(1)).await?;
         } else {
-            let _ = rc.read(obj, |v| *v)?;
+            let _ = rc.read(obj, |v| *v).await?;
         }
     }
     let rest = deadline.duration_since(rc.now());
     if !rest.is_zero() {
-        rc.work(rest)?;
+        rc.work(rest).await?;
     }
     Ok(())
 }
 
-fn body_phases(rc: &mut Ctx, node: &ExecNode, me: u32, objects: &[SharedObject<u64>]) -> Step<()> {
-    for phase in &node.phases {
-        match phase {
-            ExecPhase::Compute {
-                dur,
-                sends,
-                listeners,
-                object_ops,
-            } => {
-                for &(from, to) in sends {
-                    if from == me {
-                        rc.send_to_role(role_name(to), "app", u64::from(to))?;
+/// One action body: its phases (nested actions recurse, hence the box),
+/// then its raise phase.
+fn body_phases<'a>(
+    rc: &'a mut Ctx,
+    node: &'a ExecNode,
+    me: u32,
+    objects: &'a [SharedObject<u64>],
+) -> BoxStep<'a> {
+    Box::pin(async move {
+        for phase in &node.phases {
+            match phase {
+                ExecPhase::Compute {
+                    dur,
+                    sends,
+                    listeners,
+                    object_ops,
+                } => {
+                    for &(from, to) in sends {
+                        if from == me {
+                            rc.send_to_role(role_name(to), "app", u64::from(to))?;
+                        }
+                    }
+                    if listeners.contains(&me) {
+                        listen(rc, *dur).await?;
+                    } else {
+                        let mut my_ops: Vec<&ObjectOp> =
+                            object_ops.iter().filter(|op| op.thread == me).collect();
+                        my_ops.sort_by_key(|op| op.delay_ns);
+                        compute_with_ops(rc, *dur, &my_ops, objects).await?;
                     }
                 }
-                if listeners.contains(&me) {
-                    listen(rc, *dur)?;
-                } else {
-                    let mut my_ops: Vec<&ObjectOp> =
-                        object_ops.iter().filter(|op| op.thread == me).collect();
-                    my_ops.sort_by_key(|op| op.delay_ns);
-                    compute_with_ops(rc, *dur, &my_ops, objects)?;
-                }
-            }
-            ExecPhase::Nested { children } => {
-                if let Some(child) = children.iter().find(|c| c.plan.group.contains(&me)) {
-                    let def = child.def.clone();
-                    let child = Arc::clone(child);
-                    let objects = objects.to_vec();
-                    rc.enter(&def, role_name(me), move |cc| {
-                        body_phases(cc, &child, me, &objects)
-                    })
-                    .map(|_| ())?;
+                ExecPhase::Nested { children } => {
+                    if let Some(child) = children.iter().find(|c| c.plan.group.contains(&me)) {
+                        rc.enter(&child.def, role_name(me), async |cc| {
+                            body_phases(cc, child, me, objects).await
+                        })
+                        .await?;
+                    }
                 }
             }
         }
-    }
-    if let Some(raise_phase) = &node.plan.raise {
-        match raise_phase.raisers.iter().find(|(t, _)| *t == me) {
-            Some(&(_, delay_ns)) => {
-                rc.work(VirtualDuration::from_nanos(delay_ns))?;
-                rc.raise(Exception::new(node.plan.raise_exception(me)))?;
-            }
-            None => {
-                // Peers will raise; compute until their recovery interrupts.
-                rc.work(secs(30.0))?;
+        if let Some(raise_phase) = &node.plan.raise {
+            match raise_phase.raisers.iter().find(|(t, _)| *t == me) {
+                Some(&(_, delay_ns)) => {
+                    rc.work(VirtualDuration::from_nanos(delay_ns)).await?;
+                    rc.raise(Exception::new(node.plan.raise_exception(me)))?;
+                }
+                None => {
+                    // Peers will raise; compute until their recovery interrupts.
+                    rc.work(secs(30.0)).await?;
+                }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Executes `plan` on a fresh virtual-time system, recording a canonical
@@ -371,11 +377,10 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
         let my_crash = plan.crashes.iter().copied().find(|c| c.thread == t);
         let nodes = nodes.clone();
         let objects = objects.clone();
-        sys.spawn(thread_name(t), move |ctx| {
+        sys.spawn(thread_name(t), async move |ctx| {
             for (i, node) in nodes.iter().enumerate() {
-                let def = node.def.clone();
-                let node = Arc::clone(node);
-                let objects = objects.clone();
+                let def = &node.def;
+                let objects = &objects[..];
                 match my_crash.filter(|c| i == c.top_action as usize) {
                     Some(c) => {
                         // The designated participant runs its real
@@ -385,10 +390,12 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                         // poll point at or after it, wherever the
                         // protocol then has it (body, collection,
                         // signalling or exit).
-                        let run = ctx.enter(&def, role_name(t), move |rc| {
-                            rc.schedule_crash(VirtualDuration::from_nanos(c.delay_ns));
-                            body_phases(rc, &node, t, &objects)
-                        });
+                        let run = ctx
+                            .enter(def, role_name(t), async |rc| {
+                                rc.schedule_crash(VirtualDuration::from_nanos(c.delay_ns));
+                                body_phases(rc, node, t, objects).await
+                            })
+                            .await;
                         let flow = match run {
                             Err(flow) => flow,
                             Ok(_) => {
@@ -397,7 +404,7 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                                 // absorbed the body): the process is
                                 // still doomed — idle until the schedule
                                 // fires.
-                                match ctx.work(secs(3600.0)) {
+                                match ctx.work(secs(3600.0)).await {
                                     Err(flow) => flow,
                                     Ok(()) => return ctx.crash_stop(),
                                 }
@@ -416,8 +423,9 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                         let Some(down_ns) = c.rejoin_delay_ns else {
                             return Err(flow);
                         };
-                        ctx.restart_after(VirtualDuration::from_nanos(down_ns))?;
-                        if ctx.rejoin(&def, role_name(t))?.is_none() {
+                        ctx.restart_after(VirtualDuration::from_nanos(down_ns))
+                            .await?;
+                        if ctx.rejoin(def, role_name(t)).await?.is_none() {
                             return Err(flow);
                         }
                         // Readmitted and concluded the crash action as a
@@ -425,10 +433,10 @@ pub(crate) fn run_plan(plan: &ScenarioPlan, arena: &mut ExecutionArena) -> (Trac
                         // actions like any survivor.
                     }
                     None => {
-                        ctx.enter(&def, role_name(t), move |rc| {
-                            body_phases(rc, &node, t, &objects)
+                        ctx.enter(def, role_name(t), async |rc| {
+                            body_phases(rc, node, t, objects).await
                         })
-                        .map(|_| ())?;
+                        .await?;
                     }
                 }
             }

@@ -953,7 +953,7 @@ pub struct FuzzConfig {
     /// same `(scenario, executions, initial_seeds, start_seed, batch,
     /// fuzz_seed)` are identical regardless of worker count.
     pub fuzz_seed: u64,
-    /// Worker OS threads; 0 = one per available core (×2).
+    /// Worker OS threads; 0 = one per available core.
     pub workers: usize,
     /// Execute every plan twice and require byte-identical traces.
     pub check_replay: bool,
@@ -1108,7 +1108,7 @@ struct ChildOutcome {
 
 fn effective_workers(workers: usize) -> usize {
     if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| usize::from(n) * 2)
+        std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         workers
     }

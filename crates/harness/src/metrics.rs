@@ -15,9 +15,11 @@
 //!   Pure functions of the explored seed set: the same sweep serializes
 //!   to byte-identical JSON on any machine, and the shard-merged union
 //!   (`metrics_merge`) is byte-identical to the unsharded run.
-//! * **wall_clock** — host-scheduler facts ([`SchedStats`] park/wake
-//!   handoffs). Reported for regression ceilings, excluded from
-//!   byte-identity claims, and dropped by `metrics_merge`.
+//! * **wall_clock** — driver stage timers, plus the executor's
+//!   [`SchedStats`] park/wake counters. Reported for regression ceilings,
+//!   excluded from byte-identity claims, and dropped by `metrics_merge`.
+//!   (The park/wake counts are deterministic themselves; they stay in this
+//!   set because they measure the executor, not the protocol.)
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -47,9 +49,8 @@ pub struct SweepMetrics {
     /// `cp_instances`). Derived from the causal graph in virtual time, so
     /// byte-deterministic and shard-mergeable like `deterministic`.
     pub critical_path: MetricSet,
-    /// Host-scheduler counters (park/wake handoffs) and driver stage
-    /// timers — wall-clock facts, gate with ceilings, never with
-    /// equalities.
+    /// Executor park/wake counters and driver stage timers — gate with
+    /// ceilings; the stage timers are wall-clock facts.
     pub wall_clock: MetricSet,
 }
 
@@ -160,7 +161,11 @@ impl SweepMetrics {
             shares.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
             let parts: Vec<String> = shares
                 .iter()
-                .map(|&(ns, label)| format!("{label} {}% ({})", ns * 100 / cp_total, fmt_ns(ns)))
+                .map(|&(ns, label)| {
+                    // Widened: `ns * 100` overflows u64 near 1.8e17 ns.
+                    let pct = u128::from(ns) * 100 / u128::from(cp_total);
+                    format!("{label} {pct}% ({})", fmt_ns(ns))
+                })
                 .collect();
             let _ = writeln!(
                 out,
@@ -180,7 +185,7 @@ impl SweepMetrics {
             let per_seed = parks.checked_div(seeds).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "sched handoffs (wall-clock): {parks} parks, {wakes} wakes (~{per_seed} parks/seed)"
+                "sched handoffs: {parks} parks, {wakes} wakes (~{per_seed} parks/seed)"
             );
         }
         let stages: Vec<String> = [
@@ -212,8 +217,8 @@ impl SweepMetrics {
         out
     }
 
-    /// Park handoffs per explored seed, rounded up — the regression-guard
-    /// number (ROADMAP's "~57 futex handoffs/seed" as a tracked counter).
+    /// Executor parks per explored seed, rounded up — the regression-guard
+    /// number (~57 per default seed).
     /// 0 when no seed was recorded.
     #[must_use]
     pub fn parks_per_seed(&self) -> u64 {
@@ -343,11 +348,36 @@ impl Default for MetricsRecorder {
     }
 }
 
+/// Every histogram a [`MetricsRecorder`] fills, in registration order. A
+/// handle is a registration index, so any set registered in this order
+/// matches the recorder's handles.
+const HISTOGRAMS: [&str; 10] = [
+    "resolution_latency_crashfree_ns",
+    "resolution_latency_crash_ns",
+    "resolution_rounds",
+    "exit_round_ns",
+    "signal_fanout",
+    "object_wait_ns",
+    "crash_detect_ns",
+    "rejoin_restart_ns",
+    "rejoin_catchup_ns",
+    "run_virtual_ns",
+];
+
+/// An empty metrics set with [`HISTOGRAMS`] registered.
+fn registered_metrics() -> SweepMetrics {
+    let mut metrics = SweepMetrics::default();
+    for name in HISTOGRAMS {
+        metrics.deterministic.histogram(name);
+    }
+    metrics
+}
+
 impl MetricsRecorder {
     /// A recorder with every histogram pre-registered.
     #[must_use]
     pub fn new() -> MetricsRecorder {
-        let mut metrics = SweepMetrics::default();
+        let mut metrics = registered_metrics();
         let det = &mut metrics.deterministic;
         let resolution_crashfree = det.histogram("resolution_latency_crashfree_ns");
         let resolution_crash = det.histogram("resolution_latency_crash_ns");
@@ -398,10 +428,11 @@ impl MetricsRecorder {
     }
 
     /// Takes the accumulated metrics, leaving the recorder empty (handles
-    /// and scratch capacity intact) — the end-of-worker merge hook.
+    /// and scratch capacity intact) — the end-of-worker merge hook. The
+    /// recorder keeps a freshly registered set, so it can record again.
     #[must_use]
     pub fn take_metrics(&mut self) -> SweepMetrics {
-        std::mem::take(&mut self.metrics)
+        std::mem::replace(&mut self.metrics, registered_metrics())
     }
 
     /// Extracts one run's metrics from its artifacts: a single pass over
@@ -583,7 +614,7 @@ impl MetricsRecorder {
         }
     }
 
-    /// Folds the scheduler handoff counters into the wall-clock set.
+    /// Folds the executor's park/wake counters into the wall-clock set.
     fn record_sched_stats(&mut self, stats: SchedStats) {
         self.metrics
             .wall_clock
@@ -682,6 +713,32 @@ mod tests {
         let (seeds, parsed) = parse_metrics_json(&doc).expect("parse own doc");
         assert_eq!(seeds, 12);
         assert_eq!(metrics_json(&parsed, seeds, true), doc);
+    }
+
+    #[test]
+    fn recorder_records_again_after_take() {
+        let scenario = ScenarioConfig::default();
+        let mut recorder = MetricsRecorder::new();
+        record_seed(&mut recorder, 0, &scenario);
+        let first = recorder.take_metrics();
+        record_seed(&mut recorder, 0, &scenario);
+        let second = recorder.take_metrics();
+        assert_eq!(
+            metrics_json(&first, 1, false),
+            metrics_json(&second, 1, false),
+            "a taken recorder starts over from an empty registered set"
+        );
+    }
+
+    #[test]
+    fn critical_path_shares_do_not_wrap_near_u64_max() {
+        let mut m = SweepMetrics::default();
+        m.critical_path
+            .add_named(SegmentClass::TimeoutSlack.counter_name(), u64::MAX - 1_000);
+        m.critical_path.add_named("cp_total_ns", u64::MAX - 10);
+        m.critical_path.add_named("cp_instances", 1);
+        let summary = m.summary();
+        assert!(summary.contains("timeout-slack 99%"), "{summary}");
     }
 
     #[test]

@@ -585,12 +585,11 @@ pub fn run_plan_checked(
 pub fn sweep(config: &SweepConfig) -> SweepReport {
     let started = Instant::now();
     let workers = if config.workers == 0 {
-        // Oversubscribe the cores 2×: a virtual-time seed serialises its
-        // participant threads through futex handoffs, so a worker spends
-        // a sizeable slice of its wall time blocked in wake-up latency —
-        // a second worker per core overlaps those gaps. (Worker count
-        // never affects traces; it only schedules which seed runs where.)
-        std::thread::available_parallelism().map_or(1, |n| usize::from(n) * 2)
+        // A seed runs all its participants on the worker's own thread and
+        // never blocks, so one worker per core saturates the machine.
+        // (Worker count never affects traces; it only schedules which
+        // seed runs where.)
+        std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         config.workers
     };

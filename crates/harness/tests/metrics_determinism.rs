@@ -5,12 +5,15 @@
 //!   same sweep serialize byte-identically, whatever the worker count;
 //! * sharding a sweep and merging the shards' metrics reproduces the
 //!   unsharded document byte for byte (the `metrics_merge` contract);
-//! * with one worker, scheduler handoffs per seed stay under the CI
-//!   ceiling (the ROADMAP's "~57 futex handoffs per seed" as a
-//!   regression guard rather than prose).
+//! * the executor's park/wake counters are deterministic: identical for
+//!   two executions of one seed and for any worker count;
+//! * with one worker, executor parks per seed stay under the CI ceiling
+//!   (~57 per default seed, as a regression guard rather than prose).
 
 use caa_harness::metrics::{metrics_json, parse_metrics_json, SweepMetrics};
+use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::sweep::{sweep, Shard, SweepConfig, SweepReport};
+use caa_harness::{execute_in, ExecutionArena};
 
 /// Parks-per-seed ceiling for the default scenario at `--workers 1`.
 /// Measured ~51–57 across PR 5 and PR 6; 120 leaves room for scheduler
@@ -145,6 +148,30 @@ fn crash_and_crashfree_latency_quantiles_are_populated() {
             "{label} quantiles must be ordered"
         );
     }
+}
+
+#[test]
+fn scheduler_counters_are_deterministic() {
+    let plan = ScenarioPlan::generate(9, &ScenarioConfig::object_heavy());
+    let first = execute_in(&plan, &mut ExecutionArena::new())
+        .report
+        .sched_stats;
+    let second = execute_in(&plan, &mut ExecutionArena::new())
+        .report
+        .sched_stats;
+    assert!(first.parks > 0 && first.wakes > 0, "{first:?}");
+    assert_eq!(first, second, "one seed, two executions");
+
+    let counters = |report: &SweepReport| {
+        let wall = &report.metrics.wall_clock;
+        (
+            wall.counter_value("sched_parks"),
+            wall.counter_value("sched_wakes"),
+        )
+    };
+    let one = run(200, 1, false, None);
+    let two = run(200, 2, false, None);
+    assert_eq!(counters(&one), counters(&two), "1 vs 2 workers");
 }
 
 #[test]

@@ -79,24 +79,16 @@ impl Default for ControllerConfig {
 /// Performs one device operation inside an action: charges `op_time`,
 /// applies `f` transactionally, and raises the corresponding Figure 7
 /// exception when the device reports a fault.
-fn dev_op<T: Clone + Send + 'static, R>(
+async fn dev_op<T: Clone + Send + 'static, R>(
     rc: &mut Ctx,
     obj: &SharedObject<T>,
     op_time: VirtualDuration,
     f: impl FnOnce(&mut T) -> DeviceResult<R>,
 ) -> Step<R> {
-    rc.work(op_time)?;
-    match rc.update(obj, f)? {
+    rc.work(op_time).await?;
+    match rc.update(obj, f).await? {
         Ok(r) => Ok(r),
         Err(fault) => {
-            if std::env::var_os("CAA_TRACE").is_some() {
-                eprintln!(
-                    "[dev_op {} in {:?}] {} fails: {fault}",
-                    obj.name(),
-                    rc.action_name(),
-                    rc.name(),
-                );
-            }
             rc.raise(Exception::new(fault.exception()).with_detail(fault.exception_name()))?;
             unreachable!("raise always transfers control")
         }
@@ -125,44 +117,44 @@ pub fn spawn_controller(sys: &mut System, cell: &ProductionCell, config: &Contro
     let op = config.op_time;
 
     let (d, c) = (defs.clone(), cell.clone());
-    sys.spawn("table_sensor", move |ctx| {
+    sys.spawn("table_sensor", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_table_sensor(ctx, &c, op)?;
+            d.run_cycle_table_sensor(ctx, &c, op).await?;
         }
         Ok(())
     });
     let (d, c) = (defs.clone(), cell.clone());
-    sys.spawn("table", move |ctx| {
+    sys.spawn("table", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_table(ctx, &c, op)?;
+            d.run_cycle_table(ctx, &c, op).await?;
         }
         Ok(())
     });
     let (d, c) = (defs.clone(), cell.clone());
-    sys.spawn("robot_sensor", move |ctx| {
+    sys.spawn("robot_sensor", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_robot_sensor(ctx, &c, op)?;
+            d.run_cycle_robot_sensor(ctx, &c, op).await?;
         }
         Ok(())
     });
     let (d, c) = (defs.clone(), cell.clone());
-    sys.spawn("robot", move |ctx| {
+    sys.spawn("robot", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_robot(ctx, &c, op)?;
+            d.run_cycle_robot(ctx, &c, op).await?;
         }
         Ok(())
     });
     let (d, c) = (defs.clone(), cell.clone());
-    sys.spawn("press_sensor", move |ctx| {
+    sys.spawn("press_sensor", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_press_sensor(ctx, &c, op)?;
+            d.run_cycle_press_sensor(ctx, &c, op).await?;
         }
         Ok(())
     });
     let (d, c) = (defs, cell.clone());
-    sys.spawn("press", move |ctx| {
+    sys.spawn("press", async move |ctx| {
         for _ in 0..cycles {
-            d.run_cycle_press(ctx, &c, op)?;
+            d.run_cycle_press(ctx, &c, op).await?;
         }
         Ok(())
     });
@@ -204,12 +196,12 @@ impl Definitions {
             "press",
         ] {
             let c = cell.clone();
-            tpr = tpr.fallback_handler(role, move |hc| tpr_repair(hc, &c, false));
+            tpr = tpr.fallback_handler(role, async move |hc| tpr_repair(hc, &c, false).await);
         }
         // The table role also maintains the metrics and clears the cell so
         // the next cycle starts clean.
         let c = cell.clone();
-        tpr = tpr.fallback_handler("table", move |hc| tpr_repair(hc, &c, true));
+        tpr = tpr.fallback_handler("table", async move |hc| tpr_repair(hc, &c, true).await);
         let tpr = tpr.build().expect("Table_Press_Robot definition is valid");
 
         // ---------------- Unload_Table ----------------
@@ -230,7 +222,7 @@ impl Definitions {
             ("robot", None),
         ] {
             let c = cell.clone();
-            unload = unload.fallback_handler(role, move |hc| {
+            unload = unload.fallback_handler(role, async move |hc| {
                 let resolved = hc.handling().expect("in handler").clone();
                 let name = resolved.name().to_owned();
                 if name.contains("l_plate") || name.contains(L_PLATE_SIGNAL) || name == "plate_gone"
@@ -246,11 +238,13 @@ impl Definitions {
                 if verdict == Some(A1_SENSOR_SIGNAL) {
                     hc.update(&c.robot, |r| {
                         r.repair(crate::faults::DeviceFault::SensorStuck);
-                    })?;
+                    })
+                    .await?;
                 } else if verdict == Some(T_SENSOR_SIGNAL) {
                     hc.update(&c.table, |t| {
                         t.repair(crate::faults::DeviceFault::SensorStuck);
-                    })?;
+                    })
+                    .await?;
                 }
                 match verdict {
                     Some(sig) => Ok(HandlerVerdict::Signal(ExceptionId::new(sig))),
@@ -266,7 +260,7 @@ impl Definitions {
         // ---------------- Arm-1 micro-actions ----------------
         // Shared recovery policy: a lost plate is signalled as L_PLATE,
         // sensor trouble as NCS_FAIL; anything else requests µ.
-        let micro_policy = |hc: &mut Ctx| {
+        let micro_policy = async |hc: &mut Ctx| {
             let resolved = hc.handling().expect("in handler").clone();
             match resolved.name() {
                 "l_plate" => Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL))),
@@ -325,8 +319,9 @@ impl Definitions {
         for role in ["robot_sensor", "robot", "press_sensor", "press"] {
             let c = cell.clone();
             let repairs = role == "press";
-            pressing =
-                pressing.fallback_handler(role, move |hc| pressing_recovery(hc, &c, repairs));
+            pressing = pressing.fallback_handler(role, async move |hc| {
+                pressing_recovery(hc, &c, repairs).await
+            });
         }
         let pressing = pressing.build().expect("Pressing definition is valid");
 
@@ -339,8 +334,8 @@ impl Definitions {
         for role in ["table_sensor", "table"] {
             let c = cell.clone();
             let op_time = op;
-            back = back.fallback_handler(role, move |hc| {
-                mlt_style_recovery(hc, &c, op_time, role_is_table(role), MotionGoal::ToBelt)
+            back = back.fallback_handler(role, async move |hc| {
+                mlt_style_recovery(hc, &c, op_time, role_is_table(role), MotionGoal::ToBelt).await
             });
         }
         let back = back
@@ -358,8 +353,9 @@ impl Definitions {
         for role in ["robot_sensor", "robot", "press_sensor", "press"] {
             let c = cell.clone();
             let repairs = role == "robot";
-            remove =
-                remove.fallback_handler(role, move |hc| remove_plate_recovery(hc, &c, repairs));
+            remove = remove.fallback_handler(role, async move |hc| {
+                remove_plate_recovery(hc, &c, repairs).await
+            });
         }
         let remove = remove.build().expect("Remove_Plate definition is valid");
 
@@ -378,7 +374,7 @@ impl Definitions {
 
     // ---------------- per-thread cycle bodies ----------------
 
-    fn run_cycle_table_sensor(
+    async fn run_cycle_table_sensor(
         &self,
         ctx: &mut Ctx,
         cell: &ProductionCell,
@@ -386,71 +382,81 @@ impl Definitions {
     ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "table_sensor", move |rc| {
-            rc.enter(&d.unload, "table_sensor", |uc| {
-                uc.enter(&d.mlt, "table_sensor", |mc| sensor_verify_table(mc, &c, op))?;
-                uc.enter(&d.grab, "table_sensor", |gc| gc.work(op))?;
+        ctx.enter(&self.tpr, "table_sensor", async move |rc| {
+            rc.enter(&d.unload, "table_sensor", async |uc| {
+                uc.enter(&d.mlt, "table_sensor", async |mc| {
+                    sensor_verify_table(mc, &c, op).await
+                })
+                .await?;
+                uc.enter(&d.grab, "table_sensor", async |gc| gc.work(op).await)
+                    .await?;
                 Ok(())
-            })?;
-            rc.enter(&d.back, "table_sensor", |mc| {
-                sensor_verify_table_back(mc, &c, op)
-            })?;
+            })
+            .await?;
+            rc.enter(&d.back, "table_sensor", async |mc| {
+                sensor_verify_table_back(mc, &c, op).await
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 
-    fn run_cycle_table(&self, ctx: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[cycle start] table committed: {:?}, feed len {}",
-                cell.table.committed(),
-                cell.feed.committed().len()
-            );
-        }
+    async fn run_cycle_table(
+        &self,
+        ctx: &mut Ctx,
+        cell: &ProductionCell,
+        op: VirtualDuration,
+    ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "table", move |rc| {
+        ctx.enter(&self.tpr, "table", async move |rc| {
             // Step 1: the environment's blank supplier adds a blank (the
             // insertion light is green between cycles). The feed belt
             // assigns the id and counts the insertion atomically.
-            let plate = dev_op(rc, &c.feed, op, |f| f.insert_new_blank())?;
-            rc.update(&c.metrics, |m| m.inserted = plate.id)?;
+            let plate = dev_op(rc, &c.feed, op, |f| f.insert_new_blank()).await?;
+            rc.update(&c.metrics, |m| m.inserted = plate.id).await?;
             // Step 2–3: feed belt conveys the blank; the table loads it.
-            let plate = dev_op(rc, &c.feed, op, |f| f.convey_to_table())?;
+            let plate = dev_op(rc, &c.feed, op, |f| f.convey_to_table()).await?;
             if let Some(plate) = plate {
-                dev_op(rc, &c.table, op, |t| t.load(plate))?;
+                dev_op(rc, &c.table, op, |t| t.load(plate)).await?;
             }
-            rc.enter(&d.unload, "table", |uc| {
-                uc.enter(&d.mlt, "table", |mc| {
-                    dev_op(mc, &c.table, op, |t| t.rotate_to_robot())?;
-                    dev_op(mc, &c.table, op, |t| t.lift())?;
+            rc.enter(&d.unload, "table", async |uc| {
+                uc.enter(&d.mlt, "table", async |mc| {
+                    dev_op(mc, &c.table, op, |t| t.rotate_to_robot()).await?;
+                    dev_op(mc, &c.table, op, |t| t.lift()).await?;
                     // Ask the table sensor to verify the final position.
                     mc.send_to_role("table_sensor", "verify", ())?;
-                    let _ok = mc.recv_app()?;
+                    let _ok = mc.recv_app().await?;
                     Ok(())
-                })?;
+                })
+                .await?;
                 // Handoff: the robot grabs the plate off the table.
-                uc.enter(&d.grab, "table", |gc| {
-                    let plate = dev_op(gc, &c.table, op, |t| t.take_plate())?;
+                uc.enter(&d.grab, "table", async |gc| {
+                    let plate = dev_op(gc, &c.table, op, |t| t.take_plate()).await?;
                     gc.send_to_role("robot", "plate", plate)?;
                     Ok(())
-                })?;
+                })
+                .await?;
                 Ok(())
-            })?;
-            rc.enter(&d.back, "table", |mc| {
-                dev_op(mc, &c.table, op, |t| t.lower())?;
-                dev_op(mc, &c.table, op, |t| t.rotate_to_belt())?;
+            })
+            .await?;
+            rc.enter(&d.back, "table", async |mc| {
+                dev_op(mc, &c.table, op, |t| t.lower()).await?;
+                dev_op(mc, &c.table, op, |t| t.rotate_to_belt()).await?;
                 mc.send_to_role("table_sensor", "verify", ())?;
-                let _ok = mc.recv_app()?;
+                let _ok = mc.recv_app().await?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 
-    fn run_cycle_robot_sensor(
+    async fn run_cycle_robot_sensor(
         &self,
         ctx: &mut Ctx,
         cell: &ProductionCell,
@@ -458,74 +464,96 @@ impl Definitions {
     ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "robot_sensor", move |rc| {
-            rc.enter(&d.unload, "robot_sensor", |uc| {
-                uc.enter(&d.extend_arm1, "robot_sensor", |ec| {
-                    sensor_verify_arm1(ec, &c, op, true)
-                })?;
-                uc.enter(&d.grab, "robot_sensor", |gc| gc.work(op))?;
-                uc.enter(&d.retract_arm1, "robot_sensor", |ec| {
-                    sensor_verify_arm1(ec, &c, op, false)
-                })?;
+        ctx.enter(&self.tpr, "robot_sensor", async move |rc| {
+            rc.enter(&d.unload, "robot_sensor", async |uc| {
+                uc.enter(&d.extend_arm1, "robot_sensor", async |ec| {
+                    sensor_verify_arm1(ec, &c, op, true).await
+                })
+                .await?;
+                uc.enter(&d.grab, "robot_sensor", async |gc| gc.work(op).await)
+                    .await?;
+                uc.enter(&d.retract_arm1, "robot_sensor", async |ec| {
+                    sensor_verify_arm1(ec, &c, op, false).await
+                })
+                .await?;
                 Ok(())
-            })?;
-            rc.enter(&d.pressing, "robot_sensor", |pc| pc.work(op))?;
-            rc.enter(&d.remove, "robot_sensor", |pc| pc.work(op))?;
+            })
+            .await?;
+            rc.enter(&d.pressing, "robot_sensor", async |pc| pc.work(op).await)
+                .await?;
+            rc.enter(&d.remove, "robot_sensor", async |pc| pc.work(op).await)
+                .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 
-    fn run_cycle_robot(&self, ctx: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
+    async fn run_cycle_robot(
+        &self,
+        ctx: &mut Ctx,
+        cell: &ProductionCell,
+        op: VirtualDuration,
+    ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "robot", move |rc| {
-            rc.enter(&d.unload, "robot", |uc| {
-                uc.enter(&d.extend_arm1, "robot", |ec| {
-                    dev_op(ec, &c.robot, op, |r| r.extend_arm1())
-                })?;
-                uc.enter(&d.grab, "robot", |gc| {
-                    let msg = gc.recv_app()?;
+        ctx.enter(&self.tpr, "robot", async move |rc| {
+            rc.enter(&d.unload, "robot", async |uc| {
+                uc.enter(&d.extend_arm1, "robot", async |ec| {
+                    dev_op(ec, &c.robot, op, |r| r.extend_arm1()).await
+                })
+                .await?;
+                uc.enter(&d.grab, "robot", async |gc| {
+                    let msg = gc.recv_app().await?;
                     let plate: Plate = msg.payload.downcast().expect("plate payload");
-                    dev_op(gc, &c.robot, op, |r| r.arm1_grab(plate))?;
+                    dev_op(gc, &c.robot, op, |r| r.arm1_grab(plate)).await?;
                     Ok(())
-                })?;
-                uc.enter(&d.retract_arm1, "robot", |ec| {
-                    dev_op(ec, &c.robot, op, |r| r.retract_arm1())
-                })?;
+                })
+                .await?;
+                uc.enter(&d.retract_arm1, "robot", async |ec| {
+                    dev_op(ec, &c.robot, op, |r| r.retract_arm1()).await
+                })
+                .await?;
                 Ok(())
-            })?;
-            rc.enter(&d.pressing, "robot", |pc| {
+            })
+            .await?;
+            rc.enter(&d.pressing, "robot", async |pc| {
                 // Step 4: arm 1 places the blank into the press.
-                let plate = dev_op(pc, &c.robot, op, |r| r.arm1_release())?;
+                let plate = dev_op(pc, &c.robot, op, |r| r.arm1_release()).await?;
                 pc.send_to_role("press", "insert", plate)?;
                 // Confirm both arms are clear before the press forges.
-                let arms_clear = pc.read(&c.robot, |r| !r.arm1.extended && !r.arm2.extended)?;
+                let arms_clear = pc
+                    .read(&c.robot, |r| !r.arm1.extended && !r.arm2.extended)
+                    .await?;
                 pc.send_to_role("press", "arms_clear", arms_clear)?;
                 Ok(())
-            })?;
-            rc.enter(&d.remove, "robot", |pc| {
+            })
+            .await?;
+            rc.enter(&d.remove, "robot", async |pc| {
                 // Step 6: arm 2 takes the forged plate to the deposit belt.
-                dev_op(pc, &c.robot, op, |r| r.extend_arm2())?;
+                dev_op(pc, &c.robot, op, |r| r.extend_arm2()).await?;
                 pc.send_to_role("press", "remove", ())?;
-                let msg = pc.recv_app()?;
+                let msg = pc.recv_app().await?;
                 let plate: Plate = msg.payload.downcast().expect("plate payload");
-                dev_op(pc, &c.robot, op, |r| r.arm2_grab(plate))?;
-                dev_op(pc, &c.robot, op, |r| r.retract_arm2())?;
-                dev_op(pc, &c.robot, op, |r| r.rotate_to_deposit())?;
-                let plate = dev_op(pc, &c.robot, op, |r| r.arm2_release())?;
-                dev_op(pc, &c.deposit, op, |b| b.accept(plate))?;
-                let delivered = dev_op(pc, &c.deposit, op, |b| b.forward())?;
-                pc.update(&c.metrics, |m| m.delivered += delivered as u32)?;
-                dev_op(pc, &c.robot, op, |r| r.rotate_to_table())?;
+                dev_op(pc, &c.robot, op, |r| r.arm2_grab(plate)).await?;
+                dev_op(pc, &c.robot, op, |r| r.retract_arm2()).await?;
+                dev_op(pc, &c.robot, op, |r| r.rotate_to_deposit()).await?;
+                let plate = dev_op(pc, &c.robot, op, |r| r.arm2_release()).await?;
+                dev_op(pc, &c.deposit, op, |b| b.accept(plate)).await?;
+                let delivered = dev_op(pc, &c.deposit, op, |b| b.forward()).await?;
+                pc.update(&c.metrics, |m| m.delivered += delivered as u32)
+                    .await?;
+                dev_op(pc, &c.robot, op, |r| r.rotate_to_table()).await?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 
-    fn run_cycle_press_sensor(
+    async fn run_cycle_press_sensor(
         &self,
         ctx: &mut Ctx,
         cell: &ProductionCell,
@@ -533,45 +561,56 @@ impl Definitions {
     ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "press_sensor", move |rc| {
-            rc.enter(&d.pressing, "press_sensor", |pc| {
-                pc.work(op)?;
+        ctx.enter(&self.tpr, "press_sensor", async move |rc| {
+            rc.enter(&d.pressing, "press_sensor", async |pc| {
+                pc.work(op).await?;
                 // Sense the press state after forging.
-                let _has_plate = pc.read(&c.press, |p| p.plate().is_some())?;
+                let _has_plate = pc.read(&c.press, |p| p.plate().is_some()).await?;
                 Ok(())
-            })?;
-            rc.enter(&d.remove, "press_sensor", |pc| pc.work(op))?;
+            })
+            .await?;
+            rc.enter(&d.remove, "press_sensor", async |pc| pc.work(op).await)
+                .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 
-    fn run_cycle_press(&self, ctx: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
+    async fn run_cycle_press(
+        &self,
+        ctx: &mut Ctx,
+        cell: &ProductionCell,
+        op: VirtualDuration,
+    ) -> Step {
         let d = self.clone();
         let c = cell.clone();
-        ctx.enter(&self.tpr, "press", move |rc| {
-            rc.enter(&d.pressing, "press", |pc| {
-                let msg = pc.recv_app()?;
+        ctx.enter(&self.tpr, "press", async move |rc| {
+            rc.enter(&d.pressing, "press", async |pc| {
+                let msg = pc.recv_app().await?;
                 let plate: Plate = msg.payload.downcast().expect("plate payload");
-                dev_op(pc, &c.press, op, |p| p.insert(plate))?;
-                let clear = pc.recv_app()?;
+                dev_op(pc, &c.press, op, |p| p.insert(plate)).await?;
+                let clear = pc.recv_app().await?;
                 let arms_clear: bool = clear.payload.downcast().expect("bool payload");
                 if !arms_clear {
                     // Safety requirement: never forge with an arm inside.
                     pc.raise(Exception::new("cs_fault").with_detail("arm inside press"))?;
                 }
                 // Step 5: forge.
-                dev_op(pc, &c.press, op, |p| p.forge())?;
+                dev_op(pc, &c.press, op, |p| p.forge()).await?;
                 Ok(())
-            })?;
-            rc.enter(&d.remove, "press", |pc| {
-                let _req = pc.recv_app()?;
-                let plate = dev_op(pc, &c.press, op, |p| p.remove())?;
+            })
+            .await?;
+            rc.enter(&d.remove, "press", async |pc| {
+                let _req = pc.recv_app().await?;
+                let plate = dev_op(pc, &c.press, op, |p| p.remove()).await?;
                 pc.send_to_role("robot", "plate", plate)?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     }
 }
@@ -591,8 +630,8 @@ fn build_move_loaded_table(cell: &ProductionCell, op: VirtualDuration) -> Action
     for role in ["table_sensor", "table"] {
         let c = cell.clone();
         let is_table = role_is_table(role);
-        mlt = mlt.fallback_handler(role, move |hc| {
-            mlt_style_recovery(hc, &c, op, is_table, MotionGoal::ToRobot)
+        mlt = mlt.fallback_handler(role, async move |hc| {
+            mlt_style_recovery(hc, &c, op, is_table, MotionGoal::ToRobot).await
         });
     }
     mlt.build().expect("Move_Loaded_Table definition is valid")
@@ -614,7 +653,7 @@ enum MotionGoal {
 /// * sensor failures — repair and signal `NCS_FAIL` (degraded);
 /// * lost plate — signal `L_PLATE`;
 /// * anything else (universal included) — request µ.
-fn mlt_style_recovery(
+async fn mlt_style_recovery(
     hc: &mut Ctx,
     cell: &ProductionCell,
     op: VirtualDuration,
@@ -645,36 +684,39 @@ fn mlt_style_recovery(
         if is_table_role {
             // Repair every implicated part and complete the motion the
             // action was responsible for.
-            hc.work(op)?;
+            hc.work(op).await?;
             hc.update(&cell.table, |t| {
                 for f in crate::faults::DeviceFault::ALL {
                     t.repair(f);
                 }
-            })?;
+            })
+            .await?;
             if name != "sensor_failure_or_lplate" {
                 // Finish the interrupted motion (idempotent).
-                hc.work(op)?;
-                let r = hc.update(&cell.table, |t| {
-                    match goal {
-                        MotionGoal::ToRobot => {
-                            if t.angle != TableAngle::Robot {
-                                t.rotate_to_robot()?;
+                hc.work(op).await?;
+                let r = hc
+                    .update(&cell.table, |t| {
+                        match goal {
+                            MotionGoal::ToRobot => {
+                                if t.angle != TableAngle::Robot {
+                                    t.rotate_to_robot()?;
+                                }
+                                if !t.lifted {
+                                    t.lift()?;
+                                }
                             }
-                            if !t.lifted {
-                                t.lift()?;
+                            MotionGoal::ToBelt => {
+                                if t.lifted {
+                                    t.lower()?;
+                                }
+                                if t.angle != TableAngle::Belt {
+                                    t.rotate_to_belt()?;
+                                }
                             }
                         }
-                        MotionGoal::ToBelt => {
-                            if t.lifted {
-                                t.lower()?;
-                            }
-                            if t.angle != TableAngle::Belt {
-                                t.rotate_to_belt()?;
-                            }
-                        }
-                    }
-                    Ok::<_, crate::faults::DeviceFault>(())
-                })?;
+                        Ok::<_, crate::faults::DeviceFault>(())
+                    })
+                    .await?;
                 if r.is_err() {
                     // Repair did not hold; give up on this plate.
                     return Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL)));
@@ -696,7 +738,7 @@ fn mlt_style_recovery(
 /// makes sure the blank ends up forged inside the press — retrying the
 /// forge, or fetching the blank from arm 1 if the insertion failed. If the
 /// blank is nowhere to be found it was lost in transit: signal `L_PLATE`.
-fn pressing_recovery(
+async fn pressing_recovery(
     hc: &mut Ctx,
     cell: &ProductionCell,
     is_press_role: bool,
@@ -712,18 +754,21 @@ fn pressing_recovery(
         return Ok(HandlerVerdict::Recovered);
     }
     // Locate the blank and finish the forging.
-    hc.work(VirtualDuration::from_millis(50))?;
-    let press_state = hc.read(&cell.press, |p| p.plate())?;
+    hc.work(VirtualDuration::from_millis(50)).await?;
+    let press_state = hc.read(&cell.press, |p| p.plate()).await?;
     let outcome = match press_state {
         Some(plate) if plate.forged => Ok(()),
-        Some(_) => hc.update(&cell.press, |p| p.forge())?.map(|_| ()),
+        Some(_) => hc.update(&cell.press, |p| p.forge()).await?.map(|_| ()),
         None => {
-            let held = hc.update(&cell.robot, |r| r.arm1_release().ok())?;
+            let held = hc.update(&cell.robot, |r| r.arm1_release().ok()).await?;
             match held {
-                Some(plate) => hc.update(&cell.press, |p| {
-                    p.insert(plate)?;
-                    p.forge()
-                })?,
+                Some(plate) => {
+                    hc.update(&cell.press, |p| {
+                        p.insert(plate)?;
+                        p.forge()
+                    })
+                    .await?
+                }
                 None => Err(crate::faults::DeviceFault::LostPlate),
             }
         }
@@ -739,7 +784,7 @@ fn pressing_recovery(
 /// counter) and walks it the rest of the way to the environment; if it is
 /// nowhere — not delivered, not in the press, not on an arm, not on the
 /// belt — it was lost in transit and `L_PLATE` is signalled.
-fn remove_plate_recovery(
+async fn remove_plate_recovery(
     hc: &mut Ctx,
     cell: &ProductionCell,
     is_robot_role: bool,
@@ -754,21 +799,23 @@ fn remove_plate_recovery(
     if !is_robot_role {
         return Ok(HandlerVerdict::Recovered);
     }
-    hc.work(VirtualDuration::from_millis(50))?;
-    let current_id = hc.read(&cell.feed, |f| f.total_inserted())?;
-    let already_delivered = hc.read(&cell.deposit, |d| {
-        d.delivered().iter().any(|p| p.id == current_id)
-    })?;
+    hc.work(VirtualDuration::from_millis(50)).await?;
+    let current_id = hc.read(&cell.feed, |f| f.total_inserted()).await?;
+    let already_delivered = hc
+        .read(&cell.deposit, |d| {
+            d.delivered().iter().any(|p| p.id == current_id)
+        })
+        .await?;
     if already_delivered {
         return Ok(HandlerVerdict::Recovered);
     }
     // Collect the plate from wherever it stalled.
-    let mut plate = hc.update(&cell.press, |p| p.remove().ok())?;
+    let mut plate = hc.update(&cell.press, |p| p.remove().ok()).await?;
     if plate.is_none() {
-        plate = hc.update(&cell.robot, |r| r.arm2_release().ok())?;
+        plate = hc.update(&cell.robot, |r| r.arm2_release().ok()).await?;
     }
     if let Some(plate) = plate.filter(|p| p.forged) {
-        let accepted = hc.update(&cell.deposit, |d| d.accept(plate))?;
+        let accepted = hc.update(&cell.deposit, |d| d.accept(plate)).await?;
         if accepted.is_err() {
             return Ok(HandlerVerdict::Signal(ExceptionId::new(L_PLATE_SIGNAL)));
         }
@@ -779,11 +826,15 @@ fn remove_plate_recovery(
             let _ = r.retract_arm2();
         }
         let _ = r.rotate_to_table();
-    })?;
+    })
+    .await?;
     // Forward whatever waits on the belt.
-    let forwarded = hc.update(&cell.deposit, |d| d.forward().unwrap_or(0))?;
+    let forwarded = hc
+        .update(&cell.deposit, |d| d.forward().unwrap_or(0))
+        .await?;
     if forwarded > 0 {
-        hc.update(&cell.metrics, |m| m.delivered += forwarded as u32)?;
+        hc.update(&cell.metrics, |m| m.delivered += forwarded as u32)
+            .await?;
         return Ok(HandlerVerdict::Recovered);
     }
     // Not delivered and nowhere to be found: lost in transit.
@@ -793,7 +844,11 @@ fn remove_plate_recovery(
 /// The outermost action's recovery: each lane clears the device it owns
 /// (counting every abandoned plate as lost), repairs sensors/motors, and
 /// the table lane classifies the cycle in the metrics.
-fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<HandlerVerdict> {
+async fn tpr_repair(
+    hc: &mut Ctx,
+    cell: &ProductionCell,
+    is_table_role: bool,
+) -> Step<HandlerVerdict> {
     let resolved = hc.handling().expect("in handler").clone();
     let name = resolved.name().to_owned();
     let thread = hc.thread_id().as_u32();
@@ -816,11 +871,13 @@ fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<
             if t.angle != TableAngle::Belt {
                 let _ = t.rotate_to_belt();
             }
-        })?;
+        })
+        .await?;
         // Drop any blank still waiting on the feed belt for this cycle.
         hc.update(&cell.feed, |f| {
             let _ = f.force_clear();
-        })?;
+        })
+        .await?;
     } else if thread == threads::ROBOT {
         hc.update(&cell.robot, |r| {
             let _ = r.force_clear_arms();
@@ -832,19 +889,23 @@ fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<
                 let _ = r.retract_arm2();
             }
             let _ = r.rotate_to_table();
-        })?;
+        })
+        .await?;
     } else if thread == threads::PRESS {
         hc.update(&cell.press, |p| {
             let _ = p.force_clear();
-        })?;
+        })
+        .await?;
     } else if thread == threads::ROBOT_SENSOR {
         hc.update(&cell.robot, |r| {
             r.repair(crate::faults::DeviceFault::SensorStuck);
-        })?;
+        })
+        .await?;
     } else if thread == threads::TABLE_SENSOR {
         hc.update(&cell.table, |t| {
             t.repair(crate::faults::DeviceFault::SensorStuck);
-        })?;
+        })
+        .await?;
     }
 
     if is_table_role {
@@ -856,14 +917,17 @@ fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<
         // belt's fault script, like every other force reset here) before
         // the write-off check, or the audit would count it both lost and
         // in-flight.
-        let forwarded = hc.update(&cell.deposit, |d| d.force_forward())?;
+        let forwarded = hc.update(&cell.deposit, |d| d.force_forward()).await?;
         if forwarded > 0 {
-            hc.update(&cell.metrics, |m| m.delivered += forwarded as u32)?;
+            hc.update(&cell.metrics, |m| m.delivered += forwarded as u32)
+                .await?;
         }
-        let current = hc.read(&cell.feed, |f| f.total_inserted())?;
-        let delivered = hc.read(&cell.deposit, |d| {
-            d.delivered().iter().any(|p| p.id == current)
-        })?;
+        let current = hc.read(&cell.feed, |f| f.total_inserted()).await?;
+        let delivered = hc
+            .read(&cell.deposit, |d| {
+                d.delivered().iter().any(|p| p.id == current)
+            })
+            .await?;
         hc.update(&cell.metrics, |m| {
             if !delivered {
                 m.lost_plates += 1;
@@ -877,17 +941,18 @@ fn tpr_repair(hc: &mut Ctx, cell: &ProductionCell, is_table_role: bool) -> Step<
                 m.failed_cycles += 1;
             }
             m.recovered_cycles += 1;
-        })?;
+        })
+        .await?;
     }
     Ok(HandlerVerdict::Recovered)
 }
 
 /// Sensor-lane body for Move_Loaded_Table: wait for the actuator's request
 /// and verify the table reached the robot position.
-fn sensor_verify_table(mc: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
-    let _req = mc.recv_app()?;
-    mc.work(op)?;
-    let sensed = mc.read(&cell.table, |t| t.sensed_angle())?;
+async fn sensor_verify_table(mc: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
+    let _req = mc.recv_app().await?;
+    mc.work(op).await?;
+    let sensed = mc.read(&cell.table, |t| t.sensed_angle()).await?;
     match sensed {
         None => {
             mc.raise(Exception::new("s_stuck").with_detail("table position sensor stuck at 0"))?;
@@ -904,10 +969,14 @@ fn sensor_verify_table(mc: &mut Ctx, cell: &ProductionCell, op: VirtualDuration)
 }
 
 /// Sensor-lane body for Move_Unloaded_Table_Back.
-fn sensor_verify_table_back(mc: &mut Ctx, cell: &ProductionCell, op: VirtualDuration) -> Step {
-    let _req = mc.recv_app()?;
-    mc.work(op)?;
-    let sensed = mc.read(&cell.table, |t| t.sensed_angle())?;
+async fn sensor_verify_table_back(
+    mc: &mut Ctx,
+    cell: &ProductionCell,
+    op: VirtualDuration,
+) -> Step {
+    let _req = mc.recv_app().await?;
+    mc.work(op).await?;
+    let sensed = mc.read(&cell.table, |t| t.sensed_angle()).await?;
     match sensed {
         None => {
             mc.raise(Exception::new("s_stuck"))?;
@@ -924,21 +993,23 @@ fn sensor_verify_table_back(mc: &mut Ctx, cell: &ProductionCell, op: VirtualDura
 }
 
 /// Sensor-lane body for the arm-1 micro-actions.
-fn sensor_verify_arm1(
+async fn sensor_verify_arm1(
     ec: &mut Ctx,
     cell: &ProductionCell,
     op: VirtualDuration,
     expect_extended: bool,
 ) -> Step {
-    ec.work(op)?;
-    let (stuck, extended) = ec.read(&cell.robot, |r| (r.sensor_stuck, r.arm1.extended))?;
+    ec.work(op).await?;
+    let (stuck, extended) = ec
+        .read(&cell.robot, |r| (r.sensor_stuck, r.arm1.extended))
+        .await?;
     if stuck {
         ec.raise(Exception::new("s_stuck").with_detail("arm1 sensor stuck"))?;
     }
     if extended != expect_extended {
         // Give the actuator one more op's worth of time, then re-check.
-        ec.work(op)?;
-        let extended = ec.read(&cell.robot, |r| r.arm1.extended)?;
+        ec.work(op).await?;
+        let extended = ec.read(&cell.robot, |r| r.arm1.extended).await?;
         if extended != expect_extended {
             ec.raise(Exception::new("cs_fault").with_detail("arm1 did not reach position"))?;
         }

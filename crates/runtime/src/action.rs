@@ -14,6 +14,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -26,17 +28,37 @@ use caa_exgraph::{ExceptionGraph, ExceptionGraphBuilder};
 use crate::context::Ctx;
 use crate::error::Step;
 
+/// A boxed role future borrowing its [`Ctx`]: what handler bodies return.
+pub type BoxStep<'a, T = ()> = Pin<Box<dyn Future<Output = Step<T>> + 'a>>;
+
+/// A handler body: an async closure over the participant's [`Ctx`],
+/// type-erased so one action can hold heterogeneous handlers. Every
+/// `async` closure of the right shape implements it.
+pub trait HandlerFn<T>: Send + Sync + 'static {
+    /// Starts the handler on `ctx`.
+    fn call<'a>(&'a self, ctx: &'a mut Ctx) -> BoxStep<'a, T>;
+}
+
+impl<T: 'static, F> HandlerFn<T> for F
+where
+    F: AsyncFn(&mut Ctx) -> Step<T> + Send + Sync + 'static,
+{
+    fn call<'a>(&'a self, ctx: &'a mut Ctx) -> BoxStep<'a, T> {
+        Box::pin(self(ctx))
+    }
+}
+
 /// Exception-handler body: attempts forward recovery for the resolving
 /// exception the thread was committed to, then reports a verdict.
-pub type Handler = Arc<dyn Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync>;
+pub type Handler = Arc<dyn HandlerFn<HandlerVerdict>>;
 
 /// Abortion-handler body: runs when an enclosing action aborts this action;
 /// may produce an exception `Eab` to be raised in the enclosing action.
-pub type AbortHandler = Arc<dyn Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync>;
+pub type AbortHandler = Arc<dyn HandlerFn<Option<Exception>>>;
 
 /// Undo hook: application-level compensation executed during the undo round
 /// of the signalling algorithm (§3.4). Returns whether undo succeeded.
-pub type UndoHook = Arc<dyn Fn(&mut Ctx) -> Step<bool> + Send + Sync>;
+pub type UndoHook = Arc<dyn HandlerFn<bool>>;
 
 static NEXT_DEF_ID: AtomicU32 = AtomicU32::new(1);
 
@@ -167,7 +189,7 @@ impl fmt::Debug for DefInner {
 ///     .role("sensor", ThreadId::new(1))
 ///     .graph(graph)
 ///     .interface(["L_PLATE"])
-///     .handler("table", "dual_motor_failures", |_ctx| {
+///     .handler("table", "dual_motor_failures", async |_ctx| {
 ///         Ok(HandlerVerdict::Recovered)
 ///     })
 ///     .build()?;
@@ -303,7 +325,7 @@ impl ActionDefBuilder {
         mut self,
         role: impl Into<String>,
         exception: impl Into<ExceptionId>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl AsyncFn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.handlers
             .push((role.into(), exception.into(), Arc::new(f)));
@@ -314,7 +336,7 @@ impl ActionDefBuilder {
     pub fn universal_handler(
         self,
         role: impl Into<String>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl AsyncFn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.handler(role, ExceptionId::universal(), f)
     }
@@ -324,7 +346,7 @@ impl ActionDefBuilder {
     pub fn fallback_handler(
         mut self,
         role: impl Into<String>,
-        f: impl Fn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
+        f: impl AsyncFn(&mut Ctx) -> Step<HandlerVerdict> + Send + Sync + 'static,
     ) -> Self {
         self.fallbacks.push((role.into(), Arc::new(f)));
         self
@@ -336,7 +358,7 @@ impl ActionDefBuilder {
     pub fn abort_handler(
         mut self,
         role: impl Into<String>,
-        f: impl Fn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
+        f: impl AsyncFn(&mut Ctx) -> Step<Option<Exception>> + Send + Sync + 'static,
     ) -> Self {
         self.aborts.push((role.into(), Arc::new(f)));
         self
@@ -348,7 +370,7 @@ impl ActionDefBuilder {
     pub fn undo_hook(
         mut self,
         role: impl Into<String>,
-        f: impl Fn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
+        f: impl AsyncFn(&mut Ctx) -> Step<bool> + Send + Sync + 'static,
     ) -> Self {
         self.undos.push((role.into(), Arc::new(f)));
         self
@@ -533,7 +555,7 @@ mod tests {
         assert_eq!(err, DefError::DuplicateThread(ThreadId::new(0)));
         let err = ActionDef::builder("x")
             .role("a", ThreadId::new(0))
-            .handler("ghost", "e", |_| Ok(HandlerVerdict::Recovered))
+            .handler("ghost", "e", async |_| Ok(HandlerVerdict::Recovered))
             .build()
             .unwrap_err();
         assert_eq!(err, DefError::UnknownRole("ghost".into()));
@@ -564,8 +586,8 @@ mod tests {
     fn handler_lookup_precedence() {
         let def = ActionDef::builder("x")
             .role("a", ThreadId::new(0))
-            .handler("a", "e1", |_| Ok(HandlerVerdict::Recovered))
-            .fallback_handler("a", |_| Ok(HandlerVerdict::Fail))
+            .handler("a", "e1", async |_| Ok(HandlerVerdict::Recovered))
+            .fallback_handler("a", async |_| Ok(HandlerVerdict::Fail))
             .build()
             .unwrap();
         let role = RoleId::new(0);

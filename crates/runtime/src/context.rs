@@ -30,6 +30,7 @@
 //! to it, finish the action's exit protocol as a member again).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use caa_core::exception::{Exception, ExceptionId, Signal};
@@ -175,7 +176,7 @@ pub struct Ctx {
     me: ThreadId,
     name: Arc<str>,
     endpoint: Endpoint<Message>,
-    system: Arc<SystemShared>,
+    system: Rc<SystemShared>,
     stack: Vec<Frame>,
     /// A scheduled crash-stop instant ([`Ctx::schedule_crash`]): the
     /// thread dies at the first poll point at or after it — mid-body,
@@ -213,22 +214,6 @@ impl std::fmt::Debug for Ctx {
     }
 }
 
-/// Emits a trace line when `CAA_TRACE` is set (diagnostics for protocol
-/// debugging; no-op otherwise).
-macro_rules! trace {
-    ($self:expr, $($arg:tt)*) => {
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[{} {} d{}] {}",
-                $self.endpoint.now(),
-                $self.name,
-                $self.stack.len(),
-                format_args!($($arg)*)
-            );
-        }
-    };
-}
-
 /// What the router decided about one received message.
 enum Routed {
     /// Fully absorbed (buffered, recorded or dropped).
@@ -244,7 +229,7 @@ impl Ctx {
         me: ThreadId,
         name: Arc<str>,
         endpoint: Endpoint<Message>,
-        system: Arc<SystemShared>,
+        system: Rc<SystemShared>,
     ) -> Self {
         Ctx {
             me,
@@ -328,7 +313,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] when recovery interrupts this thread.
-    pub fn work(&mut self, dur: VirtualDuration) -> Step {
+    pub async fn work(&mut self, dur: VirtualDuration) -> Step {
         let deadline = self.now().saturating_add(dur);
         loop {
             self.poll()?;
@@ -336,7 +321,7 @@ impl Ctx {
             if remaining.is_zero() {
                 return Ok(());
             }
-            match self.recv_until(Some(deadline))? {
+            match self.recv_until(Some(deadline)).await? {
                 None => return self.poll(),
                 Some(received) => self.absorb_or_unwind(received)?,
             }
@@ -394,15 +379,18 @@ impl Ctx {
     /// # Errors
     ///
     /// [`Flow`] on a scheduled crash or a simulation error.
-    fn recv_until(&mut self, deadline: Option<VirtualInstant>) -> Step<Option<Received<Message>>> {
+    async fn recv_until(
+        &mut self,
+        deadline: Option<VirtualInstant>,
+    ) -> Step<Option<Received<Message>>> {
         self.crash_check()?;
         let effective = match (deadline, self.crash_at) {
             (Some(d), Some(c)) => Some(d.min(c)),
             (d, c) => d.or(c),
         };
         let received = match effective {
-            Some(at) => self.endpoint.recv_deadline(at)?,
-            None => Some(self.endpoint.recv()?),
+            Some(at) => self.endpoint.recv_deadline(at).await?,
+            None => Some(self.endpoint.recv().await?),
         };
         match received {
             Some(r) => Ok(Some(r)),
@@ -476,7 +464,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn recv_app(&mut self) -> Step<AppMsg> {
+    pub async fn recv_app(&mut self) -> Step<AppMsg> {
         loop {
             self.poll()?;
             if self.stack.is_empty() {
@@ -485,7 +473,7 @@ impl Ctx {
             if let Some(msg) = self.stack.last_mut().and_then(|f| f.app_inbox.pop_front()) {
                 return Ok(msg);
             }
-            if let Some(received) = self.recv_until(None)? {
+            if let Some(received) = self.recv_until(None).await? {
                 self.absorb_or_unwind(received)?;
             }
         }
@@ -497,7 +485,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn recv_app_timeout(&mut self, timeout: VirtualDuration) -> Step<Option<AppMsg>> {
+    pub async fn recv_app_timeout(&mut self, timeout: VirtualDuration) -> Step<Option<AppMsg>> {
         let deadline = self.now().saturating_add(timeout);
         loop {
             self.poll()?;
@@ -511,7 +499,7 @@ impl Ctx {
             if remaining.is_zero() {
                 return Ok(None);
             }
-            match self.recv_until(Some(deadline))? {
+            match self.recv_until(Some(deadline)).await? {
                 Some(received) => self.absorb_or_unwind(received)?,
                 None => return Ok(None),
             }
@@ -524,12 +512,12 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn read<T: Clone + Send + 'static, R>(
+    pub async fn read<T: Clone + Send + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&T) -> R,
     ) -> Step<R> {
-        self.access(obj, |t, _dirty| f(t))
+        self.access(obj, |t, _dirty| f(t)).await
     }
 
     /// Mutates external object `obj` within the active action, acquiring it
@@ -539,7 +527,7 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`Flow`] on recovery interruption.
-    pub fn update<T: Clone + Send + 'static, R>(
+    pub async fn update<T: Clone + Send + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&mut T) -> R,
@@ -548,6 +536,7 @@ impl Ctx {
             *dirty = true;
             f(t)
         })
+        .await
     }
 
     /// Forwards an arbitration-computed wake-up to the network as a
@@ -563,7 +552,7 @@ impl Ctx {
         }
     }
 
-    fn access<T: Clone + Send + 'static, R>(
+    async fn access<T: Clone + Send + 'static, R>(
         &mut self,
         obj: &SharedObject<T>,
         f: impl FnOnce(&mut T, &mut bool) -> R,
@@ -588,7 +577,7 @@ impl Ctx {
         self.forward_wake(obj.enqueue_waiter(self.me, wait_start, &chain, epoch));
         let mut f = Some(f);
         let (value, opened) = loop {
-            match self.endpoint.park_wait_until(self.crash_at) {
+            match self.endpoint.park_wait_until(self.crash_at).await {
                 Ok(Parked::Deadline) => {
                     // The scheduled crash instant arrived while parked:
                     // withdraw the request and die.
@@ -660,11 +649,11 @@ impl Ctx {
     ///
     /// Returns [`Flow`] when recovery at an enclosing level interrupts the
     /// action, and fatally on binding errors (unknown role, wrong thread).
-    pub fn enter(
+    pub async fn enter(
         &mut self,
         def: &ActionDef,
         role: &str,
-        body: impl FnOnce(&mut Ctx) -> Step,
+        body: impl AsyncFnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
         let inner = Arc::clone(&def.inner);
         let role_id = inner.role_id(role).ok_or_else(|| {
@@ -749,24 +738,12 @@ impl Ctx {
         }
         self.retained = still_retained;
 
-        trace!(self, "enter {} as {} ({})", inner.name, role, action);
         self.observe(action, || EventKind::Enter {
             name: Arc::clone(&inner.name),
             role: Arc::clone(&inner.role_names[role_id.index()]),
             depth: self.stack.len(),
         });
-        let outcome = self.drive(initial, body);
-        if std::env::var_os("CAA_TRACE").is_some() {
-            match &outcome {
-                Ok(o) => trace!(self, "leave {} ({action}): {o}", inner.name),
-                Err(f) => trace!(
-                    self,
-                    "unwind from {} ({action}): {:?}",
-                    inner.name,
-                    f.unwind
-                ),
-            }
-        }
+        let outcome = self.drive(initial, body).await;
 
         match outcome {
             Ok(outcome) => {
@@ -798,9 +775,9 @@ impl Ctx {
     /// # Errors
     ///
     /// Fatally, on simulation failure.
-    pub fn restart_after(&mut self, dur: VirtualDuration) -> Step {
+    pub async fn restart_after(&mut self, dur: VirtualDuration) -> Step {
         self.crash_at = None;
-        self.work(dur)
+        self.work(dur).await
     }
 
     /// Re-enters the action this thread last crashed out of, as a restarted
@@ -825,7 +802,7 @@ impl Ctx {
     ///
     /// Fatally on binding errors (unknown role, wrong thread, non-empty
     /// stack) and on inconsistent grants.
-    pub fn rejoin(&mut self, def: &ActionDef, role: &str) -> Step<Option<ActionOutcome>> {
+    pub async fn rejoin(&mut self, def: &ActionDef, role: &str) -> Step<Option<ActionOutcome>> {
         // The restart cancels whatever killed us; a stale schedule would
         // re-kill the rejoiner at its first poll point.
         self.crash_at = None;
@@ -853,7 +830,6 @@ impl Ctx {
             }
             .into());
         }
-        trace!(self, "rejoin request for {} ({action})", inner.name);
         for &peer in inner.group.iter().filter(|&&t| t != self.me) {
             self.observe(action, || EventKind::JoinRequested { to: peer });
             self.endpoint.send(
@@ -874,10 +850,9 @@ impl Ctx {
             .unwrap_or_else(|| caa_core::time::secs(60.0));
         let deadline = self.now().saturating_add(window);
         let (epoch, removed, exit_epoch, resolved) = loop {
-            let received = match self.recv_until(Some(deadline))? {
+            let received = match self.recv_until(Some(deadline)).await? {
                 Some(r) => r,
                 None => {
-                    trace!(self, "rejoin window expired for {action}");
                     return Ok(None);
                 }
             };
@@ -912,14 +887,8 @@ impl Ctx {
                     "join grant rejected: {reason}"
                 )))
             })?;
-        trace!(
-            self,
-            "rejoin {} ({action}) at v{} e{exit_epoch}",
-            inner.name,
-            membership.epoch()
-        );
         self.finished.remove(&action.serial());
-        self.system.stats.lock().rejoins += 1;
+        self.system.stats.borrow_mut().rejoins += 1;
         let recovered = resolved.is_some();
         self.stack.push(Frame {
             action,
@@ -966,23 +935,23 @@ impl Ctx {
         // lost (its transaction layers were broken at the crash) and must
         // not be redone — what remains is finishing the protocol rounds as
         // a member: join any in-flight recovery, vote, exit.
-        let outcome = self.drive(None, |_| Ok(()))?;
+        let outcome = self.drive(None, async |_| Ok(())).await?;
         Ok(Some(outcome))
     }
 
     /// Runs the action's phases until an outcome is reached, recovering as
     /// many times as enclosing-level aborts demand. The frame is always
     /// popped before returning.
-    fn drive(
+    async fn drive(
         &mut self,
         initial: Option<RecoveryStart>,
-        body: impl FnOnce(&mut Ctx) -> Step,
+        body: impl AsyncFnOnce(&mut Ctx) -> Step,
     ) -> Step<ActionOutcome> {
         let mut next: Option<RecoveryStart> = initial;
         if next.is_none() {
-            match body(self) {
+            match body(self).await {
                 Ok(()) => {}
-                Err(flow) => match self.flow_to_start(flow) {
+                Err(flow) => match self.flow_to_start(flow).await {
                     Ok(start) => next = Some(start),
                     Err(flow) => return Err(flow),
                 },
@@ -990,12 +959,12 @@ impl Ctx {
         }
         loop {
             let attempt: Step<ActionOutcome> = match next.take() {
-                None => self.phase_exit_then(ActionOutcome::Success),
-                Some(start) => self.phase_recover(start),
+                None => self.phase_exit_then(ActionOutcome::Success).await,
+                Some(start) => self.phase_recover(start).await,
             };
             match attempt {
                 Ok(outcome) => return Ok(outcome),
-                Err(flow) => match self.flow_to_start(flow) {
+                Err(flow) => match self.flow_to_start(flow).await {
                     Ok(start) => next = Some(start),
                     Err(flow) => return Err(flow),
                 },
@@ -1006,7 +975,7 @@ impl Ctx {
     /// Converts an unwinding [`Flow`] into a recovery start for the current
     /// frame, or performs this frame's part of the abortion cascade and
     /// re-propagates.
-    fn flow_to_start(&mut self, flow: Flow) -> Result<RecoveryStart, Flow> {
+    async fn flow_to_start(&mut self, flow: Flow) -> Result<RecoveryStart, Flow> {
         match flow.unwind {
             Unwind::Raise(e) => Ok(RecoveryStart::Raise(e)),
             Unwind::Suspend => Ok(RecoveryStart::Suspend),
@@ -1022,7 +991,7 @@ impl Ctx {
                     }
                 } else {
                     // This frame is being aborted on the way out.
-                    let my_eab = self.abort_current_frame()?;
+                    let my_eab = self.abort_current_frame().await?;
                     Err(Flow::new(Unwind::Outer {
                         target,
                         eab: my_eab,
@@ -1043,8 +1012,8 @@ impl Ctx {
 
     /// Aborts the top frame: rolls back its objects, runs its abortion
     /// handler (which may produce `Eab`), and pops it.
-    fn abort_current_frame(&mut self) -> Result<Option<Exception>, Flow> {
-        self.system.stats.lock().aborts += 1;
+    async fn abort_current_frame(&mut self) -> Result<Option<Exception>, Flow> {
+        self.system.stats.borrow_mut().aborts += 1;
         let (action, def, role) = {
             let frame = self.stack.last_mut().expect("abort requires a frame");
             // From here on, recovery messages for this instance are
@@ -1059,7 +1028,7 @@ impl Ctx {
         let mut deeper: Option<(ActionId, Option<Exception>)> = None;
         let mut eab = None;
         if let Some(handler) = def.abort_handlers.get(&role).cloned() {
-            match handler(self) {
+            match handler.call(self).await {
                 Ok(result) => eab = result,
                 Err(flow) => match flow.unwind {
                     // An abortion handler may report Eab by raising.
@@ -1165,10 +1134,10 @@ impl Ctx {
     // ------------------------------------------------------------------
 
     /// Exit protocol, then finalize with `outcome` if no recovery begins.
-    fn phase_exit_then(&mut self, outcome: ActionOutcome) -> Step<ActionOutcome> {
-        match self.run_exit()? {
+    async fn phase_exit_then(&mut self, outcome: ActionOutcome) -> Step<ActionOutcome> {
+        match self.run_exit().await? {
             ExitResult::Done => self.finalize(outcome),
-            ExitResult::Recover => self.phase_recover(RecoveryStart::Suspend),
+            ExitResult::Recover => self.phase_recover(RecoveryStart::Suspend).await,
             // A peer's view change removed this thread (or a rejoiner gave
             // up): the survivors conclude without us — resolve locally to
             // abortion (ƒ) so objects are tainted, not left hanging.
@@ -1177,16 +1146,16 @@ impl Ctx {
     }
 
     /// One full recovery: resolution, handling, signalling, exit.
-    fn phase_recover(&mut self, start: RecoveryStart) -> Step<ActionOutcome> {
-        self.system.stats.lock().recoveries += 1;
-        let resolved = match self.run_recovery(start)? {
+    async fn phase_recover(&mut self, start: RecoveryStart) -> Step<ActionOutcome> {
+        self.system.stats.borrow_mut().recoveries += 1;
+        let resolved = match self.run_recovery(start).await? {
             Some(resolved) => resolved,
             // A concurrent view change evicted this thread: the survivors
             // resolve among themselves, we give up locally (ƒ).
             None => return self.finalize(ActionOutcome::Failed),
         };
-        let verdict = self.run_handler(&resolved)?;
-        let my_signal = self.run_signalling(verdict)?;
+        let verdict = self.run_handler(&resolved).await?;
+        let my_signal = self.run_signalling(verdict).await?;
         {
             let frame = self.stack.last_mut().expect("frame active");
             frame.exit_epoch += 1;
@@ -1198,7 +1167,7 @@ impl Ctx {
         // that asked to rejoin while they ran. Done after the new exit
         // epoch opens so grants carry the epoch the joiner must vote in.
         self.flush_pending_joins();
-        match self.run_exit()? {
+        match self.run_exit().await? {
             ExitResult::Done => {}
             ExitResult::Recover => {
                 // Stragglers cannot re-trigger (the frame is marked
@@ -1269,8 +1238,7 @@ impl Ctx {
     /// Runs resolution until agreement, or until a concurrent view change
     /// evicts this thread (`Ok(None)`: the survivors resolve without us and
     /// the caller must give up locally).
-    fn run_recovery(&mut self, start: RecoveryStart) -> Step<Option<ExceptionId>> {
-        trace!(self, "recovery start: {start:?}");
+    async fn run_recovery(&mut self, start: RecoveryStart) -> Step<Option<ExceptionId>> {
         {
             let frame = self.stack.last_mut().expect("frame active");
             // Open the join-deferral window and pin the signalling cohort:
@@ -1289,7 +1257,7 @@ impl Ctx {
         };
         let mut resolved: Option<ExceptionId> = None;
         for msg in pending {
-            if let Some(r) = self.absorb_active_control(msg)? {
+            if let Some(r) = self.absorb_active_control(msg).await? {
                 resolved = Some(r);
             }
         }
@@ -1300,7 +1268,7 @@ impl Ctx {
         }
         match &start {
             RecoveryStart::Raise(e) => {
-                self.system.stats.lock().exceptions_raised += 1;
+                self.system.stats.borrow_mut().exceptions_raised += 1;
                 // "inform external objects (used by Ti within A) of the
                 // exception".
                 let frame = self.stack.last().expect("frame active");
@@ -1311,12 +1279,12 @@ impl Ctx {
                 self.observe(action, || EventKind::Raise {
                     exception: e.id().clone(),
                 });
-                if let Some(r) = self.feed_resolver(ProtoEventKind::Raise(e.clone()))? {
+                if let Some(r) = self.feed_resolver(ProtoEventKind::Raise(e.clone())).await? {
                     resolved = Some(r);
                 }
             }
             RecoveryStart::Suspend => {
-                if let Some(r) = self.feed_resolver(ProtoEventKind::Suspend)? {
+                if let Some(r) = self.feed_resolver(ProtoEventKind::Suspend).await? {
                     resolved = Some(r);
                 }
             }
@@ -1337,11 +1305,10 @@ impl Ctx {
             if self.stack.last().expect("frame active").evicted {
                 return Ok(None);
             }
-            let received = match self.recv_until(deadline)? {
+            let received = match self.recv_until(deadline).await? {
                 Some(r) => r,
                 None => {
-                    trace!(self, "bounded resolution wait expired");
-                    if let Some(r) = self.presume_crashed()? {
+                    if let Some(r) = self.presume_crashed().await? {
                         resolved = Some(r);
                     }
                     deadline = timeout.map(|t| self.now().saturating_add(t));
@@ -1355,11 +1322,11 @@ impl Ctx {
                     // excludes this for the resolution algorithm, so count
                     // and continue (the signalling algorithm is the layer
                     // with the ƒ extension).
-                    self.system.stats.lock().corrupted_ignored += 1;
+                    self.system.stats.borrow_mut().corrupted_ignored += 1;
                 }
                 Routed::ActiveControl(msg) => {
                     let view_change = matches!(msg, Message::ViewChange { .. });
-                    if let Some(r) = self.absorb_active_control(msg)? {
+                    if let Some(r) = self.absorb_active_control(msg).await? {
                         resolved = Some(r);
                     }
                     if view_change {
@@ -1374,7 +1341,6 @@ impl Ctx {
             // excluding us (a commit whose membership moved on): give up.
             return Ok(None);
         }
-        trace!(self, "resolved: {resolved}");
         let frame = self.stack.last_mut().expect("frame active");
         frame.recovered = true;
         frame.resolved_exception = Some(resolved.clone());
@@ -1385,7 +1351,7 @@ impl Ctx {
         Ok(Some(resolved))
     }
 
-    fn feed_resolver(&mut self, event: ProtoEventKind) -> Step<Option<ExceptionId>> {
+    async fn feed_resolver(&mut self, event: ProtoEventKind) -> Step<Option<ExceptionId>> {
         let (me, action, view, graph) = {
             let frame = self.stack.last().expect("frame active");
             (
@@ -1411,13 +1377,13 @@ impl Ctx {
                 ProtoEventKind::Control(m) => frame.resolver.on_event(&ctx, ProtoEvent::Control(m)),
             }
         };
-        self.dispatch_proto_actions(action, actions)
+        self.dispatch_proto_actions(action, actions).await
     }
 
     /// Sends a resolver's outbound messages (stamping the frame's
     /// membership view into outgoing `Commit`s), charges `Treso` per
     /// resolution invocation and reports the resolved exception, if any.
-    fn dispatch_proto_actions(
+    async fn dispatch_proto_actions(
         &mut self,
         action: ActionId,
         mut actions: ProtoActions,
@@ -1446,13 +1412,14 @@ impl Ctx {
             self.endpoint.send(PartitionId::new(to.as_u32()), msg);
         }
         if actions.resolve_invocations > 0 {
-            self.system.stats.lock().resolutions_invoked += u64::from(actions.resolve_invocations);
+            self.system.stats.borrow_mut().resolutions_invoked +=
+                u64::from(actions.resolve_invocations);
             self.observe(action, || EventKind::ResolutionInvoked {
                 invocations: actions.resolve_invocations,
             });
             let delay = self.system.resolution_delay * actions.resolve_invocations;
             if !delay.is_zero() {
-                self.endpoint.sleep(delay)?;
+                self.endpoint.sleep(delay).await?;
             }
         }
         Ok(actions.resolved)
@@ -1467,14 +1434,14 @@ impl Ctx {
     /// layer, everything else to the resolver — a `Commit` first adopts
     /// the membership view piggybacked on it, so a commit racing ahead of
     /// its `ViewChange` announcement still shrinks this frame's view.
-    fn absorb_active_control(&mut self, msg: Message) -> Step<Option<ExceptionId>> {
+    async fn absorb_active_control(&mut self, msg: Message) -> Step<Option<ExceptionId>> {
         let top = self.stack.len() - 1;
         match msg {
             Message::ViewChange { removed, .. } => {
                 match self.adopt_removal_set(top, &removed) {
                     // Removals naming us mean the survivors resolve without
                     // us; do not re-elect over a view we are not part of.
-                    Some(fresh) if !self.stack[top].evicted => self.feed_view_change(&fresh),
+                    Some(fresh) if !self.stack[top].evicted => self.feed_view_change(&fresh).await,
                     _ => Ok(None),
                 }
             }
@@ -1488,7 +1455,7 @@ impl Ctx {
                         return Ok(None);
                     }
                 }
-                self.feed_resolver(ProtoEventKind::Control(msg))
+                self.feed_resolver(ProtoEventKind::Control(msg)).await
             }
         }
     }
@@ -1498,7 +1465,7 @@ impl Ctx {
     /// announce the change to the survivors and re-run resolution with a
     /// crash exception synthesized on each silent suspect's behalf
     /// (presume-ƒ).
-    fn presume_crashed(&mut self) -> Step<Option<ExceptionId>> {
+    async fn presume_crashed(&mut self) -> Step<Option<ExceptionId>> {
         let suspects = {
             let frame = self.stack.last().expect("frame active");
             let view = ViewSnapshot::from_slice(frame.membership.members());
@@ -1519,8 +1486,8 @@ impl Ctx {
             )
             .into());
         }
-        trace!(self, "presume crashed: {suspects:?}");
         self.suspect_round(SuspicionRound::Resolution, &suspects)
+            .await
     }
 
     /// Round-agnostic suspicion: the bounded wait of `round` expired with
@@ -1532,21 +1499,20 @@ impl Ctx {
     /// with a crash exception synthesized per suspect (presume-ƒ);
     /// signalling and exit rounds need no synthesis — their own ƒ rules
     /// cover the silence.
-    fn suspect_round(
+    async fn suspect_round(
         &mut self,
         round: SuspicionRound,
         suspects: &[ThreadId],
     ) -> Step<Option<ExceptionId>> {
         let action = self.stack.last().expect("frame active").action;
-        trace!(self, "suspect in {round:?}: {suspects:?}");
         match round {
             SuspicionRound::Resolution => {
-                self.system.stats.lock().resolution_timeouts += 1;
+                self.system.stats.borrow_mut().resolution_timeouts += 1;
                 let s = suspects.to_vec();
                 self.observe(action, || EventKind::ResolutionTimeout { suspects: s });
             }
             SuspicionRound::Signalling(r) => {
-                self.system.stats.lock().signal_timeouts += 1;
+                self.system.stats.borrow_mut().signal_timeouts += 1;
                 let s = suspects.to_vec();
                 self.observe(action, || EventKind::SignalTimeout {
                     round: r,
@@ -1554,7 +1520,7 @@ impl Ctx {
                 });
             }
             SuspicionRound::Exit { epoch } => {
-                self.system.stats.lock().exit_timeouts += 1;
+                self.system.stats.borrow_mut().exit_timeouts += 1;
                 self.observe(action, || EventKind::ExitTimeout { epoch });
             }
         }
@@ -1581,14 +1547,9 @@ impl Ctx {
                 .iter()
                 .filter(|t| members.contains(t) && frame.heard_from.contains(t))
                 .count();
-            (survivors < recently_alive).then_some((survivors, recently_alive))
+            survivors < recently_alive
         };
-        if let Some((survivors, recently_alive)) = refused {
-            trace!(
-                self,
-                "suspicion refused: {survivors} survivor(s) vs \
-                 {recently_alive} recently-alive suspect(s); giving up"
-            );
+        if refused {
             self.stack.last_mut().expect("frame active").evicted = true;
             return Ok(None);
         }
@@ -1602,7 +1563,7 @@ impl Ctx {
             })?;
             (epoch, recipients)
         };
-        self.system.stats.lock().view_changes += 1;
+        self.system.stats.borrow_mut().view_changes += 1;
         {
             let removed = suspects.to_vec();
             self.observe(action, || EventKind::ViewChange { epoch, removed });
@@ -1623,7 +1584,7 @@ impl Ctx {
             );
         }
         match round {
-            SuspicionRound::Resolution => self.feed_view_change(suspects),
+            SuspicionRound::Resolution => self.feed_view_change(suspects).await,
             _ => Ok(None),
         }
     }
@@ -1639,8 +1600,7 @@ impl Ctx {
     fn adopt_removal_set(&mut self, index: usize, removed: &[ThreadId]) -> Option<Vec<ThreadId>> {
         let (epoch, fresh) = self.stack[index].membership.adopt_removals(removed)?;
         let action = self.stack[index].action;
-        trace!(self, "adopt view change v{epoch}: -{fresh:?}");
-        self.system.stats.lock().view_changes += 1;
+        self.system.stats.borrow_mut().view_changes += 1;
         {
             let removed = fresh.clone();
             self.observe(action, || EventKind::ViewChange { epoch, removed });
@@ -1663,7 +1623,6 @@ impl Ctx {
         }
         let action = self.stack[index].action;
         if let Some(epoch) = self.stack[index].membership.adopt_rejoin(joiner) {
-            trace!(self, "readmit {joiner} at v{epoch}");
             self.observe(action, || EventKind::Rejoin {
                 epoch,
                 thread: joiner,
@@ -1718,7 +1677,7 @@ impl Ctx {
     /// are gone, and a synthesized crash exception stands in for each one
     /// that never announced anything. May conclude the resolution (this
     /// participant may now hold the quorum and the election).
-    fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step<Option<ExceptionId>> {
+    async fn feed_view_change(&mut self, removed: &[ThreadId]) -> Step<Option<ExceptionId>> {
         let synthesized = synthesize_crashes(removed);
         let (me, action, view, graph) = {
             let frame = self.stack.last().expect("frame active");
@@ -1739,14 +1698,14 @@ impl Ctx {
             };
             frame.resolver.on_view_change(&ctx, removed, &synthesized)
         };
-        self.dispatch_proto_actions(action, actions)
+        self.dispatch_proto_actions(action, actions).await
     }
 
     // ------------------------------------------------------------------
     // Recovery: handling
     // ------------------------------------------------------------------
 
-    fn run_handler(&mut self, resolved: &ExceptionId) -> Step<HandlerVerdict> {
+    async fn run_handler(&mut self, resolved: &ExceptionId) -> Step<HandlerVerdict> {
         let (handler, role, action) = {
             let frame = self.stack.last_mut().expect("frame active");
             frame.in_handler = Some(resolved.clone());
@@ -1762,7 +1721,7 @@ impl Ctx {
         });
         let verdict = match handler {
             Some(h) => {
-                let r = h(self);
+                let r = h.call(self).await;
                 if let Some(frame) = self.stack.last_mut() {
                     frame.in_handler = None;
                 }
@@ -1785,7 +1744,7 @@ impl Ctx {
     // Recovery: signalling (§3.4)
     // ------------------------------------------------------------------
 
-    fn run_signalling(&mut self, verdict: HandlerVerdict) -> Step<Signal> {
+    async fn run_signalling(&mut self, verdict: HandlerVerdict) -> Step<Signal> {
         let my_signal = verdict.to_signal();
         if self.stack.last().expect("frame active").evicted {
             // Removed from the view: the survivors no longer expect our
@@ -1804,12 +1763,14 @@ impl Ctx {
         if group_len == 1 {
             // No coordination needed; µ still requires the local undo.
             return match my_signal {
-                Signal::Undo => Ok(self.perform_undo()),
+                Signal::Undo => Ok(self.perform_undo().await),
                 other => Ok(other),
             };
         }
 
-        let collected = self.signal_round(SignalRound::First, my_signal.clone())?;
+        let collected = self
+            .signal_round(SignalRound::First, my_signal.clone())
+            .await?;
         let any_failure = collected.iter().any(|s| matches!(s, Signal::Failure))
             || self
                 .stack
@@ -1827,9 +1788,11 @@ impl Ctx {
             return Ok(my_signal);
         }
         // Case 2: µ requested — all threads undo, then exchange again.
-        self.system.stats.lock().undo_rounds += 1;
-        let after_undo = self.perform_undo();
-        let collected = self.signal_round(SignalRound::AfterUndo, after_undo)?;
+        self.system.stats.borrow_mut().undo_rounds += 1;
+        let after_undo = self.perform_undo().await;
+        let collected = self
+            .signal_round(SignalRound::AfterUndo, after_undo)
+            .await?;
         if collected.iter().any(|s| matches!(s, Signal::Failure))
             || self
                 .stack
@@ -1846,14 +1809,14 @@ impl Ctx {
     /// Undoes this thread's effects: rolls back every object it touched and
     /// runs the role's undo hook. Returns the signal to announce (µ on
     /// success, ƒ when some undo operation failed).
-    fn perform_undo(&mut self) -> Signal {
+    async fn perform_undo(&mut self) -> Signal {
         let (action, def, role) = {
             let frame = self.stack.last().expect("frame active");
             (frame.action, Arc::clone(&frame.def), frame.role)
         };
         let mut ok = true;
         if let Some(hook) = def.undo_hooks.get(&role).cloned() {
-            match hook(self) {
+            match hook.call(self).await {
                 Ok(hook_ok) => ok &= hook_ok,
                 Err(_) => ok = false,
             }
@@ -1882,7 +1845,7 @@ impl Ctx {
 
     /// One exchange of the signalling algorithm: broadcast my signal for
     /// `round`, collect everyone's.
-    fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Vec<Signal>> {
+    async fn signal_round(&mut self, round: SignalRound, mine: Signal) -> Step<Vec<Signal>> {
         let (action, group, timeout) = {
             let frame = self.stack.last_mut().expect("frame active");
             frame.signals.insert((round, self.me), mine.clone());
@@ -1926,7 +1889,7 @@ impl Ctx {
                     return Ok(collected);
                 }
             }
-            let received = match self.recv_until(deadline)? {
+            let received = match self.recv_until(deadline).await? {
                 Some(r) => r,
                 None => {
                     let (epoch, group_now, suspects) = {
@@ -1952,7 +1915,8 @@ impl Ctx {
                         // indistinguishable and the pure ƒ rule below
                         // stands alone (a genuinely crashed peer is still
                         // caught by the exit round's suspicion).
-                        self.suspect_round(SuspicionRound::Signalling(round), &suspects)?;
+                        self.suspect_round(SuspicionRound::Signalling(round), &suspects)
+                            .await?;
                     }
                     // §3.4 extension: a missing announcement (lost message
                     // or crashed peer) is treated as ƒ; all fault-free
@@ -1992,7 +1956,7 @@ impl Ctx {
     // Exit protocol (§5.1)
     // ------------------------------------------------------------------
 
-    fn run_exit(&mut self) -> Step<ExitResult> {
+    async fn run_exit(&mut self) -> Step<ExitResult> {
         // Vote and collect over the current view: a recovery that removed
         // a presumed-crashed member must not wait for the dead thread's
         // vote (it would only ever leave through the exit timeout's ƒ).
@@ -2044,7 +2008,7 @@ impl Ctx {
                     return Ok(ExitResult::Done);
                 }
             }
-            let received = match self.recv_until(deadline)? {
+            let received = match self.recv_until(deadline).await? {
                 Some(r) => r,
                 None => {
                     // (Only reachable with a deadline.)
@@ -2053,7 +2017,7 @@ impl Ctx {
                         // broadcast while it was down; suspecting the
                         // survivors over that silence would evict threads
                         // that are perfectly alive. Give up silently.
-                        self.system.stats.lock().exit_timeouts += 1;
+                        self.system.stats.borrow_mut().exit_timeouts += 1;
                         self.observe(action, || EventKind::ExitTimeout { epoch });
                         return Ok(ExitResult::Evicted);
                     }
@@ -2074,7 +2038,8 @@ impl Ctx {
                             .collect()
                     };
                     if !suspects.is_empty() {
-                        self.suspect_round(SuspicionRound::Exit { epoch }, &suspects)?;
+                        self.suspect_round(SuspicionRound::Exit { epoch }, &suspects)
+                            .await?;
                     }
                     deadline = timeout.map(|t| self.now().saturating_add(t));
                     continue;
@@ -2083,7 +2048,7 @@ impl Ctx {
             match self.route(received)? {
                 Routed::Done => {}
                 Routed::Corrupted => {
-                    self.system.stats.lock().corrupted_ignored += 1;
+                    self.system.stats.borrow_mut().corrupted_ignored += 1;
                 }
                 Routed::ActiveControl(msg) => match msg {
                     Message::Exception { .. } | Message::Suspended { .. } => {
@@ -2145,7 +2110,7 @@ impl Ctx {
                         Err(Flow::new(Unwind::Raise(e)))
                     }
                     _ => {
-                        self.system.stats.lock().corrupted_ignored += 1;
+                        self.system.stats.borrow_mut().corrupted_ignored += 1;
                         Ok(())
                     }
                 }
@@ -2173,13 +2138,6 @@ impl Ctx {
             Some(m) => m,
             None => return Ok(Routed::Corrupted),
         };
-        trace!(
-            self,
-            "recv {} from {} for {}",
-            msg.kind(),
-            msg.from(),
-            msg.action()
-        );
         let action = msg.action();
         let position = self.stack.iter().position(|f| f.action == action);
         match position {

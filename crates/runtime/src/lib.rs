@@ -1,8 +1,10 @@
 //! Distributed CA-action run-time with coordinated exception handling — the
 //! system implementation of Xu, Romanovsky & Randell (ICDCS 1998).
 //!
-//! A [`System`] hosts participating threads, each on its own OS thread bound
-//! to a network partition (the paper's architecture, Figure 8). Threads
+//! A [`System`] hosts participating threads, each bound to its own network
+//! partition (the paper's architecture, Figure 8). A participant is a
+//! future, and [`System::run`] polls every participant on the calling
+//! thread in virtual-time order. Threads
 //! enter [`ActionDef`]s — Coordinated Atomic actions — through
 //! [`Ctx::enter`], cooperate via role-to-role messages and transactional
 //! [`SharedObject`]s, and recover from exceptions through:
@@ -66,22 +68,24 @@
 //!     .role("driver", 0u32)
 //!     .role("monitor", 1u32)
 //!     .graph(graph)
-//!     .handler("driver", "sensor_glitch", |_| Ok(HandlerVerdict::Recovered))
-//!     .handler("monitor", "sensor_glitch", |_| Ok(HandlerVerdict::Recovered))
+//!     .handler("driver", "sensor_glitch", async |_| Ok(HandlerVerdict::Recovered))
+//!     .handler("monitor", "sensor_glitch", async |_| Ok(HandlerVerdict::Recovered))
 //!     .build()?;
 //!
 //! let mut sys = System::builder().build();
 //! let a = action.clone();
-//! sys.spawn("T0", move |ctx| {
-//!     let outcome = ctx.enter(&a, "driver", |rc| {
-//!         rc.work(secs(0.1))?;
-//!         rc.raise(Exception::new("sensor_glitch"))
-//!     })?;
+//! sys.spawn("T0", async move |ctx| {
+//!     let outcome = ctx
+//!         .enter(&a, "driver", async |rc| {
+//!             rc.work(secs(0.1)).await?;
+//!             rc.raise(Exception::new("sensor_glitch"))
+//!         })
+//!         .await?;
 //!     assert_eq!(outcome, ActionOutcome::Success);
 //!     Ok(())
 //! });
-//! sys.spawn("T1", move |ctx| {
-//!     let outcome = ctx.enter(&action, "monitor", |rc| rc.work(secs(5.0)))?;
+//! sys.spawn("T1", async move |ctx| {
+//!     let outcome = ctx.enter(&action, "monitor", async |rc| rc.work(secs(5.0)).await).await?;
 //!     assert_eq!(outcome, ActionOutcome::Success);
 //!     Ok(())
 //! });
@@ -100,11 +104,10 @@ mod error;
 pub mod membership;
 pub mod objects;
 pub mod observe;
-mod pool;
 pub mod protocol;
 mod system;
 
-pub use action::{ActionDef, ActionDefBuilder, DefError};
+pub use action::{ActionDef, ActionDefBuilder, BoxStep, DefError, HandlerFn};
 pub use context::{AppMsg, Ctx};
 pub use error::{Flow, RuntimeError, Step};
 pub use objects::SharedObject;

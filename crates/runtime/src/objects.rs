@@ -41,8 +41,9 @@
 //! all same-instant registrations are present in the queue before any of
 //! them can be granted a quantum later, so the grant order is a pure
 //! function of `(registration virtual time, participant id)` —
-//! independent of wall-clock thread scheduling. Condition 3 makes decisions
-//! taken at instant *t* insensitive to the wall-clock order of other
+//! independent of the order in which the executor polls same-instant
+//! participants. Condition 3 makes decisions taken at instant *t*
+//! insensitive to the poll order of other
 //! object operations happening at *t*: they are observed either as "still
 //! pending" or as "done at *t*", and both verdicts deny the grant. The
 //! access itself (the closure over the working state) executes under the
@@ -66,13 +67,13 @@
 //! re-parks; failed attempts set no gate and are invisible to traces,
 //! exactly as under polling.
 //!
-//! Layer pops are commutative under same-instant cross-thread races: a
+//! Layer pops are commutative across same-instant participants: a
 //! commit splices the owning action's layer out of the stack wherever it
 //! sits and merges downward, and a rollback truncates the layer **and every
 //! layer above it** (all necessarily descendants, whose effects §3.3.1
 //! rolls back with their aborting ancestor). Every pop pair —
 //! commit/commit, commit/rollback, rollback/rollback — therefore reaches
-//! the same final state in either wall-clock order, so the committed state
+//! the same final state in either order, so the committed state
 //! is as replay-deterministic as the grant order.
 
 use std::fmt;
@@ -451,7 +452,7 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         let mut inner = self.shared.state.lock();
         // Instant gating: any same-instant grant, release or cancellation
         // (whether it already happened or is still to happen) denies this
-        // attempt, making the verdict independent of wall-clock order.
+        // attempt, making the verdict independent of poll order.
         let blocked_now = [
             inner.last_grant_at,
             inner.last_release_at,
@@ -493,13 +494,6 @@ impl<T: Clone + Send + 'static> SharedObject<T> {
         inner.waiters.retain(|w| w.thread != thread);
         inner.last_grant_at = Some(now);
         let opened = open_missing_layers(&mut inner, chain);
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[obj {}] grant to {thread} for {action} at {now} (opened {opened}, depth {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         let top = inner.layers.last_mut().expect("chain layer just ensured");
         debug_assert_eq!(top.owner, action);
         let mut dirty = top.dirty;
@@ -625,17 +619,10 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[obj {}] commit by {action} (layer {index} of {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         // Splice the layer out wherever it sits and merge downward: pops of
         // a completing action's layers commute with pops of its enclosing
         // action's layers, so same-instant completions by different
-        // participants reach the same final state in any wall-clock order.
+        // participants reach the same final state in any poll order.
         let layer = inner.layers.remove(index);
         match index.checked_sub(1).map(|i| &mut inner.layers[i]) {
             Some(parent) => {
@@ -660,13 +647,6 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
                 object: self.shared.name.to_string(),
             });
         };
-        if std::env::var_os("CAA_TRACE").is_some() {
-            eprintln!(
-                "[obj {}] rollback by {action} (layer {index} of {})",
-                self.shared.name,
-                inner.layers.len()
-            );
-        }
         if !self.shared.undoable && inner.layers[index..].iter().any(|l| l.dirty) {
             return Err(ObjectError::UndoImpossible {
                 object: self.shared.name.to_string(),
@@ -677,8 +657,8 @@ impl<T: Clone + Send + 'static> TxControl for SharedObject<T> {
         // `action` — it is a descendant, and §3.3.1 rolls nested effects
         // back with their aborting ancestor. This also keeps pops
         // commutative when a descendant's straggler commit races an
-        // enclosing rollback at the same virtual instant: whichever order
-        // the OS schedules, the descendant's working copy (which embeds
+        // enclosing rollback at the same virtual instant: in either order,
+        // the descendant's working copy (which embeds
         // the rolled-back state) never reaches `committed`.
         inner.layers.truncate(index);
         inner.last_release_at = Some(now);

@@ -14,8 +14,8 @@
 //! [`Ctx`](crate::Ctx).
 //!
 //! Events from one thread arrive in that thread's execution order; events
-//! from different threads interleave in arbitrary *wall-clock* order even
-//! though their virtual timestamps are deterministic. Consumers that need a
+//! from different threads interleave in the executor's poll order, not in
+//! virtual-time order. Consumers that need a
 //! canonical order should sort by `(at, thread, per-thread sequence)` as
 //! the harness's trace recorder does.
 
@@ -251,8 +251,9 @@ impl fmt::Display for Event {
 
 /// Receives runtime [`Event`]s from every participating thread.
 ///
-/// Implementations must be thread-safe: participants invoke the observer
-/// concurrently from their own OS threads.
+/// Participants invoke the observer from the thread running their
+/// [`System`](crate::System); implementations are `Send + Sync` so one
+/// observer may serve systems on several threads.
 pub trait Observer: Send + Sync {
     /// Called synchronously at each observable step.
     fn on_event(&self, event: &Event);

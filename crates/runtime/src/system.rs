@@ -4,25 +4,25 @@
 //! §5.1: "For a given CA action, each participating thread is located in its
 //! own node (or partition) … Every partition has a copy of the run-time
 //! system, including the subsystems for concurrent exception handling and
-//! resolution." [`System::spawn`] creates exactly that: one OS thread per
-//! participant, bound 1:1 to a network partition, with the recovery driver
-//! (see [`crate::context`]) as its partition executive.
+//! resolution." [`System::spawn`] creates exactly that: one participant
+//! per network partition, with the recovery driver (see
+//! [`crate::context`]) as its partition executive. Participants are
+//! futures, and [`System::run`] polls them all on the calling thread in
+//! virtual-time order (see [`caa_simnet::Network::run`]).
 
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use caa_core::ids::ThreadId;
+use caa_core::ids::{PartitionId, ThreadId};
 use caa_core::message::Message;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use caa_simnet::{
-    ClockMode, FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, SchedStats,
-};
-use parking_lot::Mutex;
+use caa_simnet::{FaultPlan, LatencyModel, NetArena, NetConfig, NetStats, Network, SchedStats};
 
 use crate::context::Ctx;
 use crate::error::{RuntimeError, Step, Unwind};
 use crate::observe::Observer;
-use crate::pool::{spawn_pooled, TaskHandle};
 use crate::protocol::{ResolutionProtocol, XrrResolution};
 
 /// Run-wide counters maintained by the recovery driver.
@@ -70,24 +70,13 @@ pub(crate) struct SystemShared {
     /// The paper's `Treso`: virtual time charged per invocation of the
     /// resolution procedure.
     pub(crate) resolution_delay: VirtualDuration,
-    pub(crate) stats: Mutex<RuntimeStats>,
+    pub(crate) stats: RefCell<RuntimeStats>,
     pub(crate) observer: Option<Arc<dyn Observer>>,
 }
 
-/// A registered-but-not-yet-dispatched participant body.
-///
-/// [`System::spawn`] registers the participant's network partition
-/// immediately (ids are assigned in spawn order, and a registered
-/// endpoint holds virtual time back), but hands the body to a pool
-/// thread only when [`System::run`] is called — by which point every
-/// participant is registered, so no start gate is needed and each worker
-/// begins executing its body directly instead of parking on a gate
-/// first. (The former gate cost one extra park/wake per participant per
-/// run — measurable at sweep rates.)
-type PendingBody = Box<dyn FnOnce() -> Result<(), RuntimeError> + Send + 'static>;
-
-/// A dispatched participant's join handle.
-type ParticipantHandle = TaskHandle<Result<(), RuntimeError>>;
+/// Per-participant results in spawn order, keyed by partition; a slot
+/// stays `None` until its body finishes.
+type Results = Rc<RefCell<Vec<(PartitionId, Arc<str>, Option<Result<(), RuntimeError>>)>>>;
 
 /// A distributed object system hosting CA actions.
 ///
@@ -104,8 +93,8 @@ type ParticipantHandle = TaskHandle<Result<(), RuntimeError>>;
 ///     .role("solo", 0u32)
 ///     .build()?;
 ///
-/// sys.spawn("T0", move |ctx| {
-///     let outcome = ctx.enter(&action, "solo", |rc| rc.work(secs(1.0)))?;
+/// sys.spawn("T0", async move |ctx| {
+///     let outcome = ctx.enter(&action, "solo", async |rc| rc.work(secs(1.0)).await).await?;
 ///     assert_eq!(outcome, ActionOutcome::Success);
 ///     Ok(())
 /// });
@@ -116,14 +105,14 @@ type ParticipantHandle = TaskHandle<Result<(), RuntimeError>>;
 /// ```
 pub struct System {
     net: Network<Message>,
-    shared: Arc<SystemShared>,
-    pending: Vec<(Arc<str>, PendingBody)>,
+    shared: Rc<SystemShared>,
+    results: Results,
 }
 
 impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
-            .field("threads", &self.pending.len())
+            .field("threads", &self.results.borrow().len())
             .field("protocol", &self.shared.protocol.name())
             .finish()
     }
@@ -145,21 +134,20 @@ impl System {
     /// Snapshot of the runtime counters.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
-        self.shared.stats.lock().clone()
+        self.shared.stats.borrow().clone()
     }
 
     /// Spawns a participating thread. Thread ids are assigned in spawn
     /// order starting from 0 — bind action roles accordingly.
     ///
-    /// The body runs on its own OS thread (drawn from a process-wide pool
-    /// of finished participants, so short-lived systems — e.g. sweep
-    /// seeds — do not pay a fresh thread spawn per participant) with a
-    /// dedicated network partition; it typically enters one or more CA
-    /// actions and propagates [`Flow`](crate::Flow) with `?`.
+    /// The body is an async closure over the participant's [`Ctx`], bound
+    /// to a dedicated network partition; it typically enters one or more
+    /// CA actions and propagates [`Flow`](crate::Flow) with `?`. It starts
+    /// when [`System::run`] is called.
     pub fn spawn(
         &mut self,
         name: impl Into<Arc<str>>,
-        body: impl FnOnce(&mut Ctx) -> Step + Send + 'static,
+        body: impl AsyncFnOnce(&mut Ctx) -> Step + 'static,
     ) -> ThreadId {
         // One interning per participant: the endpoint, the context and the
         // report label all share the same text (and callers that already
@@ -167,17 +155,20 @@ impl System {
         // names — pay no allocation at all).
         let name = name.into();
         let endpoint = self.net.endpoint(Arc::clone(&name));
-        let me = ThreadId::new(endpoint.id().as_u32());
-        let shared = Arc::clone(&self.shared);
-        let thread_name = Arc::clone(&name);
-        // Registration happens now (the endpoint above holds virtual time
-        // back); the body is dispatched to a pool thread by `run`, once
-        // every participant is registered.
-        let job: PendingBody = Box::new(move || {
-            let mut ctx = Ctx::new(me, thread_name, endpoint, shared);
-            let result = body(&mut ctx);
+        let id = endpoint.id();
+        let me = ThreadId::new(id.as_u32());
+        let shared = Rc::clone(&self.shared);
+        let results = Rc::clone(&self.results);
+        let slot = {
+            let mut results = results.borrow_mut();
+            results.push((id, Arc::clone(&name), None));
+            results.len() - 1
+        };
+        self.net.spawn(id, async move {
+            let mut ctx = Ctx::new(me, name, endpoint, shared);
+            let result = body(&mut ctx).await;
             ctx.shutdown();
-            match result {
+            let result = match result {
                 Ok(()) => Ok(()),
                 Err(flow) => match flow.unwind {
                     Unwind::Fatal(e) => Err(e),
@@ -186,14 +177,14 @@ impl System {
                         "control flow unwound to the thread top level: {other:?}"
                     ))),
                 },
-            }
+            };
+            results.borrow_mut()[slot].2 = Some(result);
         });
-        self.pending.push((name, job));
         me
     }
 
-    /// Waits for every participating thread and collects the run's results
-    /// and statistics.
+    /// Runs every participant to completion on the calling thread and
+    /// collects the run's results and statistics.
     #[must_use]
     pub fn run(self) -> SystemReport {
         self.run_reclaiming().0
@@ -204,56 +195,54 @@ impl System {
     /// [`SystemBuilder::net_arena`]). Returns `None` for the arena when a
     /// clone of the network (or a leaked endpoint) is still alive — safe
     /// to call unconditionally; sweep drivers thread the arena through
-    /// every seed so actor slots, delivery heaps and link rows are
+    /// every seed so endpoint slots, delivery heaps and link rows are
     /// allocated once per worker instead of once per seed.
     #[must_use]
-    pub fn run_reclaiming(mut self) -> (SystemReport, Option<NetArena<Message>>) {
-        let threads: Vec<(Arc<str>, ParticipantHandle)> = self
-            .pending
-            .drain(..)
-            .map(|(name, job)| (name, spawn_pooled(job)))
-            .collect();
-        let mut results = Vec::with_capacity(threads.len());
-        for (name, handle) in threads {
-            let result = match handle.join() {
-                Ok(r) => r,
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    Err(RuntimeError::Protocol(format!("thread panicked: {msg}")))
-                }
-            };
-            results.push((name.to_string(), result));
+    pub fn run_reclaiming(self) -> (SystemReport, Option<NetArena<Message>>) {
+        let panics = self.net.run();
+        let mut results = std::mem::take(&mut *self.results.borrow_mut());
+        for (id, payload) in panics {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            if let Some(slot) = results.iter_mut().find(|r| r.0 == id) {
+                slot.2 = Some(Err(RuntimeError::Protocol(format!(
+                    "thread panicked: {msg}"
+                ))));
+            }
         }
         let report = SystemReport {
             elapsed: self.net.now().duration_since(VirtualInstant::EPOCH),
             net_stats: self.net.stats(),
             sched_stats: self.net.sched_stats(),
-            runtime_stats: self.shared.stats.lock().clone(),
-            results,
+            runtime_stats: self.shared.stats.borrow().clone(),
+            results: results
+                .into_iter()
+                .map(|(_, name, result)| {
+                    let result = result.unwrap_or_else(|| {
+                        Err(RuntimeError::Protocol("participant never finished".into()))
+                    });
+                    (name.to_string(), result)
+                })
+                .collect(),
         };
         // `System` has a `Drop` impl, so the network cannot be moved out;
-        // clone the (Arc-backed) handle, drop the system, then reclaim
-        // through the now-sole owner.
+        // clone the (shared) handle, drop the system, then reclaim through
+        // the now-sole owner.
         let net = self.net.clone();
         drop(self);
-        let arena = net.reclaim();
-        (report, arena)
+        (report, net.reclaim())
     }
 }
 
 impl Drop for System {
-    /// Dispatches any never-run participant bodies when a `System` is
-    /// dropped without [`System::run`]: the bodies execute (and their
-    /// endpoints retire) exactly as they did under the former start-gate
-    /// design, where dropping the system opened the gate.
+    /// Runs any never-run participant bodies when a `System` is dropped
+    /// without [`System::run`], so their endpoints retire and the tasks —
+    /// which hold the network they are stored in — are released.
     fn drop(&mut self) {
-        for (_, job) in self.pending.drain(..) {
-            drop(spawn_pooled(job));
-        }
+        let _ = self.net.run();
     }
 }
 
@@ -264,8 +253,7 @@ pub struct SystemReport {
     pub results: Vec<(String, Result<(), RuntimeError>)>,
     /// Message counters from the network.
     pub net_stats: NetStats,
-    /// Scheduler park/wake handoff counters (wall-clock facts about the
-    /// host scheduler, not deterministic — see [`SchedStats`]).
+    /// Executor park/wake counters (deterministic — see [`SchedStats`]).
     pub sched_stats: SchedStats,
     /// Runtime counters.
     pub runtime_stats: RuntimeStats,
@@ -302,7 +290,6 @@ impl SystemReport {
 
 /// Builder for [`System`] ([C-BUILDER]).
 pub struct SystemBuilder {
-    mode: ClockMode,
     latency: LatencyModel,
     seed: u64,
     ack_timeout: Option<VirtualDuration>,
@@ -317,7 +304,6 @@ pub struct SystemBuilder {
 impl Default for SystemBuilder {
     fn default() -> Self {
         SystemBuilder {
-            mode: ClockMode::Virtual,
             latency: LatencyModel::default(),
             seed: 0,
             ack_timeout: None,
@@ -334,7 +320,6 @@ impl Default for SystemBuilder {
 impl fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SystemBuilder")
-            .field("mode", &self.mode)
             .field("latency", &self.latency)
             .field("seed", &self.seed)
             .field("protocol", &self.protocol.name())
@@ -343,13 +328,6 @@ impl fmt::Debug for SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Virtual (default) or real time.
-    #[must_use]
-    pub fn clock(mut self, mode: ClockMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Message latency model — the paper's `Tmmax` lives here.
     #[must_use]
     pub fn latency(mut self, latency: LatencyModel) -> Self {
@@ -427,7 +405,6 @@ impl SystemBuilder {
     pub fn build(self) -> System {
         let net = Network::new_reusing(
             NetConfig {
-                mode: self.mode,
                 latency: self.latency,
                 seed: self.seed,
                 ack_timeout: self.ack_timeout,
@@ -438,13 +415,39 @@ impl SystemBuilder {
         );
         System {
             net,
-            shared: Arc::new(SystemShared {
+            shared: Rc::new(SystemShared {
                 protocol: self.protocol,
                 resolution_delay: self.resolution_delay,
-                stats: Mutex::new(RuntimeStats::default()),
+                stats: RefCell::new(RuntimeStats::default()),
                 observer: self.observer,
             }),
-            pending: Vec::new(),
+            results: Results::default(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use caa_core::time::secs;
+
+    #[test]
+    fn a_panicking_participant_is_reported_and_the_rest_run_on() {
+        let mut sys = System::builder().build();
+        sys.spawn("T0", async |ctx| {
+            ctx.work(secs(1.0)).await?;
+            panic!("boom");
+        });
+        sys.spawn("T1", async |ctx| ctx.work(secs(2.0)).await);
+        let report = sys.run();
+        match &report.results[0] {
+            (name, Err(RuntimeError::Protocol(msg))) => {
+                assert_eq!(name, "T0");
+                assert_eq!(msg, "thread panicked: boom");
+            }
+            other => panic!("expected the panic to be reported, got {other:?}"),
+        }
+        assert!(report.results[1].1.is_ok(), "{:?}", report.results[1]);
+        assert_eq!(report.elapsed, secs(2.0));
     }
 }

@@ -30,9 +30,11 @@ fn crash_stop_mid_exit_evicts_the_peer_within_bound() {
     let def = two_party(Some(secs(EXIT_TIMEOUT)));
     let mut sys = System::builder().build();
     let d = def.clone();
-    sys.spawn("survivor", move |ctx| {
+    sys.spawn("survivor", async move |ctx| {
         let before = ctx.now();
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(0.1)))?;
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(0.1)).await)
+            .await?;
         assert_eq!(
             outcome,
             ActionOutcome::Success,
@@ -45,12 +47,13 @@ fn crash_stop_mid_exit_evicts_the_peer_within_bound() {
         );
         Ok(())
     });
-    sys.spawn("crasher", move |ctx| {
+    sys.spawn("crasher", async move |ctx| {
         // Crash while the survivor is already waiting in the exit protocol.
-        ctx.enter(&def, "b", |rc| {
-            rc.work(secs(1.0))?;
+        ctx.enter(&def, "b", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -80,14 +83,17 @@ fn without_exit_timeout_a_crashed_peer_deadlocks_the_exit() {
     let def = two_party(None);
     let mut sys = System::builder().build();
     let d = def.clone();
-    sys.spawn("survivor", move |ctx| {
-        ctx.enter(&d, "a", |rc| rc.work(secs(0.1))).map(|_| ())
+    sys.spawn("survivor", async move |ctx| {
+        ctx.enter(&d, "a", async |rc| rc.work(secs(0.1)).await)
+            .await
+            .map(|_| ())
     });
-    sys.spawn("crasher", move |ctx| {
-        ctx.enter(&def, "b", |rc| {
-            rc.work(secs(1.0))?;
+    sys.spawn("crasher", async move |ctx| {
+        ctx.enter(&def, "b", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -109,21 +115,24 @@ fn crash_stop_releases_objects_and_survivors_commit_theirs() {
     let mut sys = System::builder().build();
     let d = def.clone();
     let so = survivor_obj.clone();
-    sys.spawn("survivor", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| {
-            rc.update(&so, |v| *v = 7)?;
-            rc.work(secs(0.1))
-        })?;
+    sys.spawn("survivor", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| {
+                rc.update(&so, |v| *v = 7).await?;
+                rc.work(secs(0.1)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
     let co = crasher_obj.clone();
-    sys.spawn("crasher", move |ctx| {
-        ctx.enter(&def, "b", |rc| {
-            rc.update(&co, |v| *v = 9)?;
-            rc.work(secs(1.0))?;
+    sys.spawn("crasher", async move |ctx| {
+        ctx.enter(&def, "b", async |rc| {
+            rc.update(&co, |v| *v = 9).await?;
+            rc.work(secs(1.0)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -138,11 +147,12 @@ fn crash_stop_releases_objects_and_survivors_commit_theirs() {
     let solo = ActionDef::builder("solo").role("s", 0u32).build().unwrap();
     let mut sys2 = System::builder().build();
     let co = crasher_obj.clone();
-    sys2.spawn("later", move |ctx| {
-        ctx.enter(&solo, "s", |rc| {
-            rc.update(&co, |v| *v += 1)?;
+    sys2.spawn("later", async move |ctx| {
+        ctx.enter(&solo, "s", async |rc| {
+            rc.update(&co, |v| *v += 1).await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     sys2.run().expect_ok();
@@ -156,14 +166,20 @@ fn exit_timeout_does_not_misfire_on_slow_peers() {
     let def = two_party(Some(secs(EXIT_TIMEOUT)));
     let mut sys = System::builder().build();
     let d = def.clone();
-    sys.spawn("fast", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(0.1)))?;
+    sys.spawn("fast", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(0.1)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("slow", move |ctx| {
+    sys.spawn("slow", async move |ctx| {
         // Slower than `fast` by less than the exit timeout.
-        let outcome = ctx.enter(&def, "b", |rc| rc.work(secs(EXIT_TIMEOUT - 1.0)))?;
+        let outcome = ctx
+            .enter(&def, "b", async |rc| {
+                rc.work(secs(EXIT_TIMEOUT - 1.0)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });

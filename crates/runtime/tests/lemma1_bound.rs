@@ -72,8 +72,8 @@ fn run_flat(p: &Params) -> (f64, f64) {
     let delta = p.delta;
     for i in 0..p.n {
         let done = Arc::clone(&done_at);
-        builder = builder.fallback_handler(format!("r{i}"), move |hc| {
-            hc.work(secs(delta))?;
+        builder = builder.fallback_handler(format!("r{i}"), async move |hc| {
+            hc.work(secs(delta)).await?;
             done.lock().unwrap().push(hc.now());
             Ok(HandlerVerdict::Recovered)
         });
@@ -89,9 +89,9 @@ fn run_flat(p: &Params) -> (f64, f64) {
         let a = action.clone();
         let raises = p.raisers.contains(&i);
         let raise_clock = Arc::clone(&raise_at);
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(0.5))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(0.5)).await?;
                 if raises {
                     let mut at = raise_clock.lock().unwrap();
                     let now = rc.now();
@@ -99,8 +99,9 @@ fn run_flat(p: &Params) -> (f64, f64) {
                     drop(at);
                     rc.raise(Exception::new(format!("e{i}")))?;
                 }
-                rc.work(secs(120.0))
+                rc.work(secs(120.0)).await
             })
+            .await
             .map(|_| ())
         });
     }
@@ -158,8 +159,8 @@ fn nested_recovery_respects_lemma1_bound() {
             .graph(graph);
         for r in ["r0", "r1", "r2"] {
             let done = Arc::clone(&done_at);
-            builder = builder.fallback_handler(r, move |hc| {
-                hc.work(secs(delta))?;
+            builder = builder.fallback_handler(r, async move |hc| {
+                hc.work(secs(delta)).await?;
                 done.lock().unwrap().push(hc.now());
                 Ok(HandlerVerdict::Recovered)
             });
@@ -168,12 +169,12 @@ fn nested_recovery_respects_lemma1_bound() {
         let nested = ActionDef::builder("nested")
             .role("n1", 1u32)
             .role("n2", 2u32)
-            .abort_handler("n1", move |ac| {
-                ac.work(secs(t_abort))?;
+            .abort_handler("n1", async move |ac| {
+                ac.work(secs(t_abort)).await?;
                 Ok(Some(Exception::new("E3")))
             })
-            .abort_handler("n2", move |ac| {
-                ac.work(secs(t_abort))?;
+            .abort_handler("n2", async move |ac| {
+                ac.work(secs(t_abort)).await?;
                 Ok(None)
             })
             .build()
@@ -186,12 +187,13 @@ fn nested_recovery_respects_lemma1_bound() {
             .build();
         let o0 = outer.clone();
         let rc0 = Arc::clone(&raise_at);
-        sys.spawn("T0", move |ctx| {
-            ctx.enter(&o0, "r0", |rc| {
-                rc.work(secs(0.5))?;
+        sys.spawn("T0", async move |ctx| {
+            ctx.enter(&o0, "r0", async |rc| {
+                rc.work(secs(0.5)).await?;
                 *rc0.lock().unwrap() = Some(rc.now());
                 rc.raise(Exception::new("E1"))
             })
+            .await
             .map(|_| ())
         });
         for (name, orole, nrole) in [("T1", "r1", "n1"), ("T2", "r2", "n2")] {
@@ -199,11 +201,13 @@ fn nested_recovery_respects_lemma1_bound() {
             let n = nested.clone();
             let orole = orole.to_owned();
             let nrole = nrole.to_owned();
-            sys.spawn(name, move |ctx| {
-                ctx.enter(&o, &orole, |rc| {
-                    rc.enter(&n, &nrole, |nc| nc.work(secs(300.0)))?;
+            sys.spawn(name, async move |ctx| {
+                ctx.enter(&o, &orole, async |rc| {
+                    rc.enter(&n, &nrole, async |nc| nc.work(secs(300.0)).await)
+                        .await?;
                     Ok(())
                 })
+                .await
                 .map(|_| ())
             });
         }

@@ -60,21 +60,25 @@ fn rejoin_before_detection_preserves_the_view_and_succeeds() {
     let def = pair();
     let mut sys = System::builder().build();
     let d = def.clone();
-    sys.spawn("survivor", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(0.1)))?;
+    sys.spawn("survivor", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(0.1)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("phoenix", move |ctx| {
-        let crashed = ctx.enter(&def, "b", |rc| {
-            rc.work(secs(1.0))?;
-            rc.crash_stop()
-        });
+    sys.spawn("phoenix", async move |ctx| {
+        let crashed = ctx
+            .enter(&def, "b", async |rc| {
+                rc.work(secs(1.0)).await?;
+                rc.crash_stop()
+            })
+            .await;
         match crashed {
             Err(flow) if flow.is_crash() => {
                 // Restart immediately: the survivor is parked in its exit
                 // wait and has not yet suspected anyone.
-                let outcome = ctx.rejoin(&def, "b")?;
+                let outcome = ctx.rejoin(&def, "b").await?;
                 assert_eq!(
                     outcome,
                     Some(ActionOutcome::Success),
@@ -107,22 +111,26 @@ fn rejoin_after_the_group_concluded_gives_up_cleanly() {
     let def = pair();
     let mut sys = System::builder().build();
     let d = def.clone();
-    sys.spawn("survivor", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(0.1)))?;
+    sys.spawn("survivor", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(0.1)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("latecomer", move |ctx| {
-        let crashed = ctx.enter(&def, "b", |rc| {
-            rc.work(secs(1.0))?;
-            rc.crash_stop()
-        });
+    sys.spawn("latecomer", async move |ctx| {
+        let crashed = ctx
+            .enter(&def, "b", async |rc| {
+                rc.work(secs(1.0)).await?;
+                rc.crash_stop()
+            })
+            .await;
         match crashed {
             Err(flow) if flow.is_crash() => {
                 // Stay down past the survivor's exit timeout: by the time
                 // the restart asks for the view, the action is long over.
-                ctx.work(secs(3.0 * EXIT_TIMEOUT))?;
-                let outcome = ctx.rejoin(&def, "b")?;
+                ctx.work(secs(3.0 * EXIT_TIMEOUT)).await?;
+                let outcome = ctx.rejoin(&def, "b").await?;
                 assert_eq!(outcome, None, "no survivor is left to grant the join");
                 Ok(())
             }
@@ -158,31 +166,37 @@ fn duplicate_grants_are_idempotent_and_state_stays_rolled_back() {
     let mut sys = System::builder().build();
     let d = def.clone();
     let so = obj_survivor.clone();
-    sys.spawn("survivor-a", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| {
-            rc.update(&so, |v| *v = 7)?;
-            rc.work(secs(0.1))
-        })?;
+    sys.spawn("survivor-a", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| {
+                rc.update(&so, |v| *v = 7).await?;
+                rc.work(secs(0.1)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
     let d = def.clone();
-    sys.spawn("survivor-b", move |ctx| {
-        let outcome = ctx.enter(&d, "b", |rc| rc.work(secs(0.1)))?;
+    sys.spawn("survivor-b", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "b", async |rc| rc.work(secs(0.1)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
     let po = obj_phoenix.clone();
-    sys.spawn("phoenix", move |ctx| {
-        let crashed = ctx.enter(&def, "c", |rc| {
-            rc.update(&po, |v| *v = 9)?;
-            rc.work(secs(1.0))?;
-            rc.crash_stop()
-        });
+    sys.spawn("phoenix", async move |ctx| {
+        let crashed = ctx
+            .enter(&def, "c", async |rc| {
+                rc.update(&po, |v| *v = 9).await?;
+                rc.work(secs(1.0)).await?;
+                rc.crash_stop()
+            })
+            .await;
         match crashed {
             Err(flow) if flow.is_crash() => {
-                ctx.work(secs(1.0))?;
-                let outcome = ctx.rejoin(&def, "c")?;
+                ctx.work(secs(1.0)).await?;
+                let outcome = ctx.rejoin(&def, "c").await?;
                 assert_eq!(outcome, Some(ActionOutcome::Success));
                 Ok(())
             }
@@ -224,7 +238,7 @@ fn double_crash_is_survived_one_epoch_per_round() {
         .signal_timeout(secs(10.0))
         .exit_timeout(secs(10.0));
     for role in ["a", "b", "c"] {
-        builder = builder.fallback_handler(role, move |_| Ok(HandlerVerdict::Recovered));
+        builder = builder.fallback_handler(role, async move |_| Ok(HandlerVerdict::Recovered));
     }
     let def = builder.build().unwrap();
     let mut sys = System::builder()
@@ -232,31 +246,35 @@ fn double_crash_is_survived_one_epoch_per_round() {
         .observer(collector.clone() as _)
         .build();
     let d = def.clone();
-    sys.spawn("early-crasher", move |ctx| {
+    sys.spawn("early-crasher", async move |ctx| {
         // Dead before the raise: never answers the resolution collect.
-        ctx.enter(&d, "a", |rc| {
-            rc.work(secs(0.2))?;
+        ctx.enter(&d, "a", async |rc| {
+            rc.work(secs(0.2)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let d = def.clone();
-    sys.spawn("late-crasher", move |ctx| {
+    sys.spawn("late-crasher", async move |ctx| {
         // Answers the resolution (its Suspended arrives in time) but dies
         // before the resolver's timeout fires, so its §3.4 signal never
         // comes: the signalling round must run the suspicion this time.
-        ctx.enter(&d, "b", |rc| {
+        ctx.enter(&d, "b", async |rc| {
             rc.schedule_crash(VirtualDuration::from_nanos(5_000_000_000));
-            rc.work(secs(60.0))
+            rc.work(secs(60.0)).await
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("survivor", move |ctx| {
+    sys.spawn("survivor", async move |ctx| {
         let before = ctx.now();
-        let outcome = ctx.enter(&def, "c", |rc| {
-            rc.work(secs(1.0))?;
-            rc.raise(Exception::new("e"))
-        })?;
+        let outcome = ctx
+            .enter(&def, "c", async |rc| {
+                rc.work(secs(1.0)).await?;
+                rc.raise(Exception::new("e"))
+            })
+            .await?;
         assert_eq!(
             outcome,
             ActionOutcome::Failed,

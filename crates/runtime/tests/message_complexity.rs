@@ -26,7 +26,8 @@ fn run_scenario(n: u32, raisers: &[u32]) -> SystemReport {
     }
     builder = builder.graph(graph);
     for i in 0..n {
-        builder = builder.fallback_handler(format!("r{i}"), |_| Ok(HandlerVerdict::Recovered));
+        builder =
+            builder.fallback_handler(format!("r{i}"), async |_| Ok(HandlerVerdict::Recovered));
     }
     let action = builder.build().unwrap();
 
@@ -36,14 +37,15 @@ fn run_scenario(n: u32, raisers: &[u32]) -> SystemReport {
     for i in 0..n {
         let a = action.clone();
         let raises = raisers.contains(&i);
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(0.1))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(0.1)).await?;
                 if raises {
                     rc.raise(Exception::new(format!("e{i}")))?;
                 }
-                rc.work(secs(30.0))
+                rc.work(secs(30.0)).await
             })
+            .await
             .map(|_| ())
         });
     }
@@ -159,9 +161,11 @@ fn signalling_undo_case_uses_2n_times_n_minus_1_messages() {
         builder = builder.role(format!("r{i}"), i);
     }
     builder = builder.graph(graph);
-    builder = builder.handler("r0", "e", |_| Ok(HandlerVerdict::Undo));
+    builder = builder.handler("r0", "e", async |_| Ok(HandlerVerdict::Undo));
     for i in 1..n {
-        builder = builder.handler(format!("r{i}"), "e", |_| Ok(HandlerVerdict::Recovered));
+        builder = builder.handler(format!("r{i}"), "e", async |_| {
+            Ok(HandlerVerdict::Recovered)
+        });
     }
     let action = builder.build().unwrap();
     let mut sys = System::builder()
@@ -169,14 +173,15 @@ fn signalling_undo_case_uses_2n_times_n_minus_1_messages() {
         .build();
     for i in 0..n {
         let a = action.clone();
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(0.1))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(0.1)).await?;
                 if i == 0 {
                     rc.raise(Exception::new("e"))?;
                 }
-                rc.work(secs(30.0))
+                rc.work(secs(30.0)).await
             })
+            .await
             .map(|_| ())
         });
     }
@@ -207,26 +212,27 @@ fn nested_recovery_worst_case_is_bounded_by_nmax_n_squared() {
         .role("r1", 1u32)
         .role("r2", 2u32)
         .graph(graph)
-        .fallback_handler("r0", |_| Ok(HandlerVerdict::Recovered))
-        .fallback_handler("r1", |_| Ok(HandlerVerdict::Recovered))
-        .fallback_handler("r2", |_| Ok(HandlerVerdict::Recovered))
+        .fallback_handler("r0", async |_| Ok(HandlerVerdict::Recovered))
+        .fallback_handler("r1", async |_| Ok(HandlerVerdict::Recovered))
+        .fallback_handler("r2", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let nested = ActionDef::builder("nested")
         .role("n1", 1u32)
         .role("n2", 2u32)
-        .abort_handler("n1", |_| Ok(Some(Exception::new("ab_e"))))
+        .abort_handler("n1", async |_| Ok(Some(Exception::new("ab_e"))))
         .build()
         .unwrap();
     let mut sys = System::builder()
         .latency(LatencyModel::Fixed(secs(0.05)))
         .build();
     let o0 = outer.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&o0, "r0", |rc| {
-            rc.work(secs(1.0))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&o0, "r0", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.raise(Exception::new("outer_e"))
         })
+        .await
         .map(|_| ())
     });
     for (name, orole, nrole) in [("T1", "r1", "n1"), ("T2", "r2", "n2")] {
@@ -234,11 +240,13 @@ fn nested_recovery_worst_case_is_bounded_by_nmax_n_squared() {
         let ne = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            ctx.enter(&o, &orole, |rc| {
-                rc.enter(&ne, &nrole, |nc| nc.work(secs(60.0)))?;
+        sys.spawn(name, async move |ctx| {
+            ctx.enter(&o, &orole, async |rc| {
+                rc.enter(&ne, &nrole, async |nc| nc.work(secs(60.0)).await)
+                    .await?;
                 Ok(())
             })
+            .await
             .map(|_| ())
         });
     }

@@ -35,7 +35,7 @@ fn signalled_exception_is_raised_in_enclosing_action() {
         .interface(["OUTER_GAVE_UP"]);
     for role in ["t1", "t2", "t3", "t4"] {
         let h = Arc::clone(&enclosing_handled);
-        outer_builder = outer_builder.handler(role, "NESTED_FAIL", move |_| {
+        outer_builder = outer_builder.handler(role, "NESTED_FAIL", async move |_| {
             h.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         });
@@ -48,10 +48,10 @@ fn signalled_exception_is_raised_in_enclosing_action() {
         .role("n3", 2u32)
         .graph(graph_inner)
         .interface(["NESTED_FAIL"])
-        .handler("n2", "inner_e", |_| {
+        .handler("n2", "inner_e", async |_| {
             Ok(HandlerVerdict::Signal(ExceptionId::new("NESTED_FAIL")))
         })
-        .handler("n3", "inner_e", |_| {
+        .handler("n3", "inner_e", async |_| {
             Ok(HandlerVerdict::Signal(ExceptionId::new("NESTED_FAIL")))
         })
         .build()
@@ -62,8 +62,10 @@ fn signalled_exception_is_raised_in_enclosing_action() {
         .seed(5)
         .build();
     let o1 = outer.clone();
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&o1, "t1", |rc| rc.work(secs(20.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&o1, "t1", async |rc| rc.work(secs(20.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -72,33 +74,39 @@ fn signalled_exception_is_raised_in_enclosing_action() {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            let outcome = ctx.enter(&o, &orole, |rc| {
-                rc.work(secs(0.5))?;
-                // Entering the nested action; its failure signals
-                // NESTED_FAIL, which auto-raises here — so control never
-                // reaches the line after `enter` on the raising path.
-                let nested_outcome = rc.enter(&n, &nrole, |nc| {
-                    nc.work(secs(0.2))?;
-                    if nrole == "n2" {
-                        nc.raise(Exception::new("inner_e"))?;
-                    } else {
-                        nc.work(secs(5.0))?;
-                    }
+        sys.spawn(name, async move |ctx| {
+            let outcome = ctx
+                .enter(&o, &orole, async |rc| {
+                    rc.work(secs(0.5)).await?;
+                    // Entering the nested action; its failure signals
+                    // NESTED_FAIL, which auto-raises here — so control never
+                    // reaches the line after `enter` on the raising path.
+                    let nested_outcome = rc
+                        .enter(&n, &nrole, async |nc| {
+                            nc.work(secs(0.2)).await?;
+                            if nrole == "n2" {
+                                nc.raise(Exception::new("inner_e"))?;
+                            } else {
+                                nc.work(secs(5.0)).await?;
+                            }
+                            Ok(())
+                        })
+                        .await?;
+                    // Unreachable on the failure path: the signalled exception
+                    // is raised in this (enclosing) action instead.
+                    assert_eq!(nested_outcome, ActionOutcome::Success);
                     Ok(())
-                })?;
-                // Unreachable on the failure path: the signalled exception
-                // is raised in this (enclosing) action instead.
-                assert_eq!(nested_outcome, ActionOutcome::Success);
-                Ok(())
-            })?;
+                })
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
             Ok(())
         });
     }
     let o4 = outer;
-    sys.spawn("T4", move |ctx| {
-        let outcome = ctx.enter(&o4, "t4", |rc| rc.work(secs(20.0)))?;
+    sys.spawn("T4", async move |ctx| {
+        let outcome = ctx
+            .enter(&o4, "t4", async |rc| rc.work(secs(20.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -133,7 +141,7 @@ fn enclosing_exception_aborts_nested_action_with_abort_exception() {
     for role in ["t1", "t2", "t3", "t4"] {
         let h = Arc::clone(&handled);
         let role_name = role.to_owned();
-        outer_builder = outer_builder.handler(role, "E1∩E3", move |_| {
+        outer_builder = outer_builder.handler(role, "E1∩E3", async move |_| {
             h.lock().unwrap().push(role_name.clone());
             Ok(HandlerVerdict::Recovered)
         });
@@ -146,11 +154,11 @@ fn enclosing_exception_aborts_nested_action_with_abort_exception() {
         .role("n2", 1u32)
         .role("n3", 2u32)
         // T2's abortion handler raises E3 in the containing action.
-        .abort_handler("n2", move |_| {
+        .abort_handler("n2", async move |_| {
             ab2.fetch_add(1, Ordering::SeqCst);
             Ok(Some(Exception::new("E3")))
         })
-        .abort_handler("n3", move |_| {
+        .abort_handler("n3", async move |_| {
             ab3.fetch_add(1, Ordering::SeqCst);
             Ok(None)
         })
@@ -164,11 +172,13 @@ fn enclosing_exception_aborts_nested_action_with_abort_exception() {
     // T1 raises E1 in the containing action while T2 and T3 are deep in the
     // nested action.
     let o1 = outer.clone();
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&o1, "t1", |rc| {
-            rc.work(secs(1.0))?;
-            rc.raise(Exception::new("E1"))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&o1, "t1", async |rc| {
+                rc.work(secs(1.0)).await?;
+                rc.raise(Exception::new("E1"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -177,19 +187,24 @@ fn enclosing_exception_aborts_nested_action_with_abort_exception() {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            let outcome = ctx.enter(&o, &orole, |rc| {
-                rc.work(secs(0.2))?;
-                rc.enter(&n, &nrole, |nc| nc.work(secs(60.0)))?;
-                Ok(())
-            })?;
+        sys.spawn(name, async move |ctx| {
+            let outcome = ctx
+                .enter(&o, &orole, async |rc| {
+                    rc.work(secs(0.2)).await?;
+                    rc.enter(&n, &nrole, async |nc| nc.work(secs(60.0)).await)
+                        .await?;
+                    Ok(())
+                })
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
             Ok(())
         });
     }
     let o4 = outer;
-    sys.spawn("T4", move |ctx| {
-        let outcome = ctx.enter(&o4, "t4", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("T4", async move |ctx| {
+        let outcome = ctx
+            .enter(&o4, "t4", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -231,7 +246,7 @@ fn abort_cascade_runs_innermost_first_and_keeps_only_top_eab() {
         .graph(graph_outer);
     for role in ["t0", "t1"] {
         let r = Arc::clone(&raised_in_outer);
-        outer_builder = outer_builder.fallback_handler(role, move |ctx| {
+        outer_builder = outer_builder.fallback_handler(role, async move |ctx| {
             r.lock()
                 .unwrap()
                 .push(ctx.handling().unwrap().name().to_owned());
@@ -243,7 +258,7 @@ fn abort_cascade_runs_innermost_first_and_keeps_only_top_eab() {
     let o_mid = Arc::clone(&order);
     let mid = ActionDef::builder("mid")
         .role("m1", 1u32)
-        .abort_handler("m1", move |_| {
+        .abort_handler("m1", async move |_| {
             o_mid.lock().unwrap().push("mid");
             Ok(Some(Exception::new("MID_AB")))
         })
@@ -252,7 +267,7 @@ fn abort_cascade_runs_innermost_first_and_keeps_only_top_eab() {
     let o_inner = Arc::clone(&order);
     let inner = ActionDef::builder("inner")
         .role("i1", 1u32)
-        .abort_handler("i1", move |_| {
+        .abort_handler("i1", async move |_| {
             o_inner.lock().unwrap().push("inner");
             // This Eab must be superseded by the mid level's (§3.3.1:
             // "only the exception signalled by abortion handlers of action
@@ -266,21 +281,25 @@ fn abort_cascade_runs_innermost_first_and_keeps_only_top_eab() {
         .latency(LatencyModel::Fixed(secs(0.1)))
         .build();
     let o0 = outer.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&o0, "t0", |rc| {
-            rc.work(secs(1.0))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&o0, "t0", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.raise(Exception::new("TOP"))
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&outer, "t1", |rc| {
-            rc.enter(&mid, "m1", |mc| {
-                mc.enter(&inner, "i1", |ic| ic.work(secs(60.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&outer, "t1", async |rc| {
+            rc.enter(&mid, "m1", async |mc| {
+                mc.enter(&inner, "i1", async |ic| ic.work(secs(60.0)).await)
+                    .await?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -318,7 +337,7 @@ fn enclosing_exception_aborts_nested_recovery_in_progress() {
         .graph(graph_outer);
     for role in ["t0", "t1", "t2"] {
         let h = Arc::clone(&outer_handled);
-        outer_builder = outer_builder.fallback_handler(role, move |_| {
+        outer_builder = outer_builder.fallback_handler(role, async move |_| {
             h.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         });
@@ -337,13 +356,13 @@ fn enclosing_exception_aborts_nested_recovery_in_progress() {
         .graph(graph_inner)
         // Nested handlers are slow: the enclosing exception lands while
         // they run and must abort them.
-        .handler("n1", "inner_e", move |hc| {
-            hc.work(secs(30.0))?;
+        .handler("n1", "inner_e", async move |hc| {
+            hc.work(secs(30.0)).await?;
             nh1.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("n2", "inner_e", move |hc| {
-            hc.work(secs(30.0))?;
+        .handler("n2", "inner_e", async move |hc| {
+            hc.work(secs(30.0)).await?;
             nh2.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
@@ -354,13 +373,14 @@ fn enclosing_exception_aborts_nested_recovery_in_progress() {
         .latency(LatencyModel::Fixed(secs(0.1)))
         .build();
     let o0 = outer.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&o0, "t0", |rc| {
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&o0, "t0", async |rc| {
             // Raise in the containing action while the nested recovery is
             // under way.
-            rc.work(secs(2.0))?;
+            rc.work(secs(2.0)).await?;
             rc.raise(Exception::new("TOP"))
         })
+        .await
         .map(|_| ())
     });
     for (name, orole, nrole) in [("T1", "t1", "n1"), ("T2", "t2", "n2")] {
@@ -368,17 +388,19 @@ fn enclosing_exception_aborts_nested_recovery_in_progress() {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            ctx.enter(&o, &orole, |rc| {
-                rc.enter(&n, &nrole, |nc| {
-                    nc.work(secs(0.5))?;
+        sys.spawn(name, async move |ctx| {
+            ctx.enter(&o, &orole, async |rc| {
+                rc.enter(&n, &nrole, async |nc| {
+                    nc.work(secs(0.5)).await?;
                     if nrole == "n1" {
                         nc.raise(Exception::new("inner_e"))?;
                     }
-                    nc.work(secs(60.0))
-                })?;
+                    nc.work(secs(60.0)).await
+                })
+                .await?;
                 Ok(())
             })
+            .await
             .map(|_| ())
         });
     }
@@ -412,12 +434,16 @@ fn successful_nested_action_is_transparent() {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            let outcome = ctx.enter(&o, &orole, |rc| {
-                let inner_outcome = rc.enter(&n, &nrole, |nc| nc.work(secs(1.0)))?;
-                assert_eq!(inner_outcome, ActionOutcome::Success);
-                rc.work(secs(0.5))
-            })?;
+        sys.spawn(name, async move |ctx| {
+            let outcome = ctx
+                .enter(&o, &orole, async |rc| {
+                    let inner_outcome = rc
+                        .enter(&n, &nrole, async |nc| nc.work(secs(1.0)).await)
+                        .await?;
+                    assert_eq!(inner_outcome, ActionOutcome::Success);
+                    rc.work(secs(0.5)).await
+                })
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
             Ok(())
         });
@@ -443,7 +469,7 @@ fn nested_undo_exception_is_handled_by_enclosing() {
         .graph(graph_outer);
     for role in ["t0", "t1"] {
         let s = Arc::clone(&outer_saw);
-        outer_builder = outer_builder.fallback_handler(role, move |ctx| {
+        outer_builder = outer_builder.fallback_handler(role, async move |ctx| {
             s.lock()
                 .unwrap()
                 .push(ctx.handling().unwrap().name().to_owned());
@@ -459,8 +485,8 @@ fn nested_undo_exception_is_handled_by_enclosing() {
         .role("n0", 0u32)
         .role("n1", 1u32)
         .graph(graph_inner)
-        .handler("n0", "broken", |_| Ok(HandlerVerdict::Undo))
-        .handler("n1", "broken", |_| Ok(HandlerVerdict::Undo))
+        .handler("n0", "broken", async |_| Ok(HandlerVerdict::Undo))
+        .handler("n1", "broken", async |_| Ok(HandlerVerdict::Undo))
         .build()
         .unwrap();
     let mut sys = System::builder().build();
@@ -469,17 +495,20 @@ fn nested_undo_exception_is_handled_by_enclosing() {
         let n = nested.clone();
         let orole = orole.to_owned();
         let nrole = nrole.to_owned();
-        sys.spawn(name, move |ctx| {
-            let outcome = ctx.enter(&o, &orole, |rc| {
-                rc.enter(&n, &nrole, |nc| {
-                    nc.work(secs(0.1))?;
-                    if nrole == "n0" {
-                        nc.raise(Exception::new("broken"))?;
-                    }
-                    nc.work(secs(10.0))
-                })?;
-                Ok(())
-            })?;
+        sys.spawn(name, async move |ctx| {
+            let outcome = ctx
+                .enter(&o, &orole, async |rc| {
+                    rc.enter(&n, &nrole, async |nc| {
+                        nc.work(secs(0.1)).await?;
+                        if nrole == "n0" {
+                            nc.raise(Exception::new("broken"))?;
+                        }
+                        nc.work(secs(10.0)).await
+                    })
+                    .await?;
+                    Ok(())
+                })
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
             Ok(())
         });

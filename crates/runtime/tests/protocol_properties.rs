@@ -56,7 +56,7 @@ proptest! {
         builder = builder.graph(graph);
         for i in 0..sc.n {
             let log = Arc::clone(&handled);
-            builder = builder.fallback_handler(format!("r{i}"), move |hc| {
+            builder = builder.fallback_handler(format!("r{i}"), async move |hc| {
                 log.lock().unwrap().push(hc.handling().unwrap().clone());
                 Ok(HandlerVerdict::Recovered)
             });
@@ -74,17 +74,17 @@ proptest! {
                 .iter()
                 .find(|(t, _)| *t == i)
                 .map(|(_, d)| *d);
-            sys.spawn(format!("T{i}"), move |ctx| {
-                ctx.enter(&a, &format!("r{i}"), |rc| {
+            sys.spawn(format!("T{i}"), async move |ctx| {
+                ctx.enter(&a, &format!("r{i}"), async |rc| {
                     match delay {
                         Some(d) => {
-                            rc.work(secs(d))?;
+                            rc.work(secs(d)).await?;
                             rc.raise(Exception::new(format!("e{i}")))?;
                             Ok(())
                         }
-                        None => rc.work(secs(30.0)),
+                        None => rc.work(secs(30.0)).await,
                     }
-                })
+                }).await
                 .map(|_| ())
             });
         }

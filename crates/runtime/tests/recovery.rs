@@ -25,8 +25,10 @@ fn solo_action_completes() {
         .role("only", 0u32)
         .build()
         .unwrap();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&action, "only", |rc| rc.work(secs(1.0)))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "only", async |rc| rc.work(secs(1.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -47,7 +49,7 @@ fn solo_action_raise_resolves_to_itself() {
     let action = ActionDef::builder("solo")
         .role("only", 0u32)
         .graph(graph)
-        .handler("only", "oops", move |ctx| {
+        .handler("only", "oops", async move |ctx| {
             log.lock().unwrap().push(format!(
                 "handling {} in {}",
                 ctx.handling().unwrap(),
@@ -58,8 +60,10 @@ fn solo_action_raise_resolves_to_itself() {
         .build()
         .unwrap();
     let mut sys = System::builder().build();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&action, "only", |rc| rc.raise(Exception::new("oops")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "only", async |rc| rc.raise(Exception::new("oops")))
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -82,11 +86,11 @@ fn peer_is_informed_and_both_handle_same_exception() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph)
-        .handler("a", "e1", move |_| {
+        .handler("a", "e1", async move |_| {
             l0.lock().unwrap().push("a");
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("b", "e1", move |_| {
+        .handler("b", "e1", async move |_| {
             l1.lock().unwrap().push("b");
             Ok(HandlerVerdict::Recovered)
         })
@@ -94,23 +98,27 @@ fn peer_is_informed_and_both_handle_same_exception() {
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| {
-            rc.work(secs(0.1))?;
-            rc.raise(Exception::new("e1"))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| {
+                rc.work(secs(0.1)).await?;
+                rc.raise(Exception::new("e1"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
+    sys.spawn("T1", async move |ctx| {
         // The body would run for 100 virtual seconds; the peer's exception
         // interrupts it at the next poll point.
-        let outcome = ctx.enter(&action, "b", |rc| {
-            for _ in 0..1000 {
-                rc.work(secs(0.1))?;
-            }
-            Ok(())
-        })?;
+        let outcome = ctx
+            .enter(&action, "b", async |rc| {
+                for _ in 0..1000 {
+                    rc.work(secs(0.1)).await?;
+                }
+                Ok(())
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -136,11 +144,11 @@ fn concurrent_exceptions_resolve_to_covering_exception() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(two_exc_graph())
-        .handler("a", "e1∩e2", move |_| {
+        .handler("a", "e1∩e2", async move |_| {
             l0.lock().unwrap().push("a:e1∩e2");
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("b", "e1∩e2", move |_| {
+        .handler("b", "e1∩e2", async move |_| {
             l1.lock().unwrap().push("b:e1∩e2");
             Ok(HandlerVerdict::Recovered)
         })
@@ -152,18 +160,20 @@ fn concurrent_exceptions_resolve_to_covering_exception() {
     let a = action.clone();
     // Both raise at (nearly) the same time: neither can see the other's
     // exception before raising its own.
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&a, "a", |rc| {
-            rc.work(secs(0.1))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&a, "a", async |rc| {
+            rc.work(secs(0.1)).await?;
             rc.raise(Exception::new("e1"))
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&action, "b", |rc| {
-            rc.work(secs(0.1))?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&action, "b", async |rc| {
+            rc.work(secs(0.1)).await?;
             rc.raise(Exception::new("e2"))
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -192,7 +202,7 @@ fn three_threads_mixed_raise_and_suspend() {
         .graph(graph);
     for role in ["r0", "r1", "r2"] {
         let h = Arc::clone(&handled);
-        builder = builder.handler(role, "both", move |_| {
+        builder = builder.handler(role, "both", async move |_| {
             h.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         });
@@ -203,24 +213,27 @@ fn three_threads_mixed_raise_and_suspend() {
         .seed(11)
         .build();
     let (a0, a1, a2) = (action.clone(), action.clone(), action);
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&a0, "r0", |rc| {
-            rc.work(secs(0.2))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&a0, "r0", async |rc| {
+            rc.work(secs(0.2)).await?;
             rc.raise(Exception::new("x"))
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&a1, "r1", |rc| {
-            rc.work(secs(30.0)) // bystander: suspended by the others
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&a1, "r1", async |rc| {
+            rc.work(secs(30.0)).await // bystander: suspended by the others
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("T2", move |ctx| {
-        ctx.enter(&a2, "r2", |rc| {
-            rc.work(secs(0.2))?;
+    sys.spawn("T2", async move |ctx| {
+        ctx.enter(&a2, "r2", async |rc| {
+            rc.work(secs(0.2)).await?;
             rc.raise(Exception::new("y"))
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -238,8 +251,8 @@ fn resolution_delay_is_charged_once() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph)
-        .handler("a", "e", |_| Ok(HandlerVerdict::Recovered))
-        .handler("b", "e", |_| Ok(HandlerVerdict::Recovered))
+        .handler("a", "e", async |_| Ok(HandlerVerdict::Recovered))
+        .handler("b", "e", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let mut sys = System::builder()
@@ -247,12 +260,14 @@ fn resolution_delay_is_charged_once() {
         .resolution_delay(secs(5.0))
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&a, "a", |rc| rc.raise(Exception::new("e")))
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&a, "a", async |rc| rc.raise(Exception::new("e")))
+            .await
             .map(|_| ())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&action, "b", |rc| rc.work(secs(60.0)))
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&action, "b", async |rc| rc.work(secs(60.0)).await)
+            .await
             .map(|_| ())
     });
     let report = sys.run();
@@ -278,13 +293,17 @@ fn unhandled_exception_is_signalled_to_the_caller() {
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("e")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| rc.raise(Exception::new("e")))
+            .await?;
         assert_eq!(outcome, ActionOutcome::Signalled(ExceptionId::new("e")));
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Signalled(ExceptionId::new("e")));
         Ok(())
     });
@@ -303,13 +322,19 @@ fn undeclared_exception_resolves_to_universal_and_undoes() {
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("never_declared")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| {
+                rc.raise(Exception::new("never_declared"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Undone);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Undone);
         Ok(())
     });
@@ -332,11 +357,11 @@ fn exception_during_exit_vote_window_still_recovers() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph)
-        .handler("a", "late", move |_| {
+        .handler("a", "late", async move |_| {
             h0.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("b", "late", move |_| {
+        .handler("b", "late", async move |_| {
             h1.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
@@ -346,17 +371,19 @@ fn exception_during_exit_vote_window_still_recovers() {
         .latency(LatencyModel::Fixed(secs(0.1)))
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
+    sys.spawn("T0", async move |ctx| {
         // Empty body: votes for exit immediately.
-        let outcome = ctx.enter(&a, "a", |_| Ok(()))?;
+        let outcome = ctx.enter(&a, "a", async |_| Ok(())).await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| {
-            rc.work(secs(2.0))?;
-            rc.raise(Exception::new("late"))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| {
+                rc.work(secs(2.0)).await?;
+                rc.raise(Exception::new("late"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -377,8 +404,8 @@ fn repeated_action_instances_are_isolated() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph)
-        .handler("a", "glitch", |_| Ok(HandlerVerdict::Recovered))
-        .handler("b", "glitch", |_| Ok(HandlerVerdict::Recovered))
+        .handler("a", "glitch", async |_| Ok(HandlerVerdict::Recovered))
+        .handler("b", "glitch", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let iterations = 5u32;
@@ -387,22 +414,26 @@ fn repeated_action_instances_are_isolated() {
         .seed(3)
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
+    sys.spawn("T0", async move |ctx| {
         for i in 0..iterations {
-            let outcome = ctx.enter(&a, "a", |rc| {
-                rc.work(secs(0.1))?;
-                if i % 2 == 0 {
-                    rc.raise(Exception::new("glitch"))?;
-                }
-                Ok(())
-            })?;
+            let outcome = ctx
+                .enter(&a, "a", async |rc| {
+                    rc.work(secs(0.1)).await?;
+                    if i % 2 == 0 {
+                        rc.raise(Exception::new("glitch"))?;
+                    }
+                    Ok(())
+                })
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
         }
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
+    sys.spawn("T1", async move |ctx| {
         for _ in 0..iterations {
-            let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(0.3)))?;
+            let outcome = ctx
+                .enter(&action, "b", async |rc| rc.work(secs(0.3)).await)
+                .await?;
             assert_eq!(outcome, ActionOutcome::Success);
         }
         Ok(())
@@ -425,24 +456,27 @@ fn cooperation_via_role_messages() {
         .latency(LatencyModel::Fixed(secs(0.05)))
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "ping", |rc| {
-            rc.send_to_role("pong", "data", 21u64)?;
-            let reply = rc.recv_app()?;
-            assert_eq!(reply.tag, "result");
-            assert_eq!(reply.payload.downcast::<u64>().unwrap(), 42);
-            Ok(())
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "ping", async |rc| {
+                rc.send_to_role("pong", "data", 21u64)?;
+                let reply = rc.recv_app().await?;
+                assert_eq!(reply.tag, "result");
+                assert_eq!(reply.payload.downcast::<u64>().unwrap(), 42);
+                Ok(())
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&action, "pong", |rc| {
-            let msg = rc.recv_app()?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&action, "pong", async |rc| {
+            let msg = rc.recv_app().await?;
             let n = msg.payload.downcast::<u64>().unwrap();
             rc.send_to_role("ping", "result", n * 2)?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     sys.run().expect_ok();
@@ -451,7 +485,7 @@ fn cooperation_via_role_messages() {
 #[test]
 fn raise_outside_action_is_fatal() {
     let mut sys = System::builder().build();
-    sys.spawn("T0", move |ctx| ctx.raise(Exception::new("nowhere")));
+    sys.spawn("T0", async move |ctx| ctx.raise(Exception::new("nowhere")));
     let report = sys.run();
     assert!(!report.is_ok());
     let err = report.results[0].1.as_ref().unwrap_err();
@@ -462,8 +496,8 @@ fn raise_outside_action_is_fatal() {
 fn wrong_thread_for_role_is_fatal() {
     let action = ActionDef::builder("x").role("r", 5u32).build().unwrap();
     let mut sys = System::builder().build();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&action, "r", |_| Ok(())).map(|_| ())
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&action, "r", async |_| Ok(())).await.map(|_| ())
     });
     let report = sys.run();
     assert!(!report.is_ok());

@@ -77,7 +77,7 @@ fn trio(verdict: HandlerVerdict, resolution_timeout: Option<f64>) -> ActionDef {
     }
     for role in ["a", "b", "c"] {
         let verdict = verdict.clone();
-        builder = builder.fallback_handler(role, move |_| Ok(verdict.clone()));
+        builder = builder.fallback_handler(role, async move |_| Ok(verdict.clone()));
     }
     builder.build().unwrap()
 }
@@ -96,25 +96,30 @@ fn crashed_bystander_is_removed_and_survivors_succeed() {
         .observer(collector.clone() as _)
         .build();
     let d = def.clone();
-    sys.spawn("crasher", move |ctx| {
-        ctx.enter(&d, "a", |rc| {
-            rc.work(secs(0.5))?;
+    sys.spawn("crasher", async move |ctx| {
+        ctx.enter(&d, "a", async |rc| {
+            rc.work(secs(0.5)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let d = def.clone();
-    sys.spawn("bystander", move |ctx| {
-        let outcome = ctx.enter(&d, "b", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("bystander", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "b", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success, "survivors must succeed");
         Ok(())
     });
-    sys.spawn("raiser", move |ctx| {
+    sys.spawn("raiser", async move |ctx| {
         let before = ctx.now();
-        let outcome = ctx.enter(&def, "c", |rc| {
-            rc.work(secs(1.0))?;
-            rc.raise(Exception::new("e2"))
-        })?;
+        let outcome = ctx
+            .enter(&def, "c", async |rc| {
+                rc.work(secs(1.0)).await?;
+                rc.raise(Exception::new("e2"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         let elapsed = ctx.now().duration_since(before).as_secs_f64();
         assert!(
@@ -168,28 +173,33 @@ fn crashed_raiser_is_replaced_as_resolver() {
         .observer(collector.clone() as _)
         .build();
     let d = def.clone();
-    sys.spawn("a", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("a", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
     let d = def.clone();
-    sys.spawn("b", move |ctx| {
-        let outcome = ctx.enter(&d, "b", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("b", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "b", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("raiser-crasher", move |ctx| {
-        ctx.enter(&def, "c", |rc| {
+    sys.spawn("raiser-crasher", async move |ctx| {
+        ctx.enter(&def, "c", async |rc| {
             // Die 50 ms after raising: the Exception broadcast is out
             // (messages leave atomically at the raise), but the peers'
             // Suspended answers — in flight for 100 ms — never arrive, so
             // the commit this thread owes as the elected resolver is never
             // sent.
             rc.schedule_crash(VirtualDuration::from_nanos(150_000_000));
-            rc.work(secs(0.1))?;
+            rc.work(secs(0.1)).await?;
             rc.raise(Exception::new("e2"))
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -220,30 +230,35 @@ fn crash_racing_concurrent_raises_reaches_coordinated_failure() {
         .observer(collector.clone() as _)
         .build();
     let d = def.clone();
-    sys.spawn("raiser-0", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| {
-            rc.work(secs(0.1))?;
-            rc.raise(Exception::new("e0"))
-        })?;
+    sys.spawn("raiser-0", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| {
+                rc.work(secs(0.1)).await?;
+                rc.raise(Exception::new("e0"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed, "ƒ must dominate");
         Ok(())
     });
     let d = def.clone();
-    sys.spawn("mid-crasher", move |ctx| {
-        ctx.enter(&d, "b", |rc| {
+    sys.spawn("mid-crasher", async move |ctx| {
+        ctx.enter(&d, "b", async |rc| {
             // Dead before either raiser's Exception (in flight for 50 ms
             // from t=0.1) can reach this thread: the group never hears
             // from it at all.
             rc.schedule_crash(VirtualDuration::from_nanos(120_000_000));
-            rc.work(secs(60.0))
+            rc.work(secs(60.0)).await
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("raiser-2", move |ctx| {
-        let outcome = ctx.enter(&def, "c", |rc| {
-            rc.work(secs(0.12))?;
-            rc.raise(Exception::new("e2"))
-        })?;
+    sys.spawn("raiser-2", async move |ctx| {
+        let outcome = ctx
+            .enter(&def, "c", async |rc| {
+                rc.work(secs(0.12)).await?;
+                rc.raise(Exception::new("e2"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed, "ƒ must dominate");
         Ok(())
     });
@@ -274,22 +289,26 @@ fn without_resolution_timeout_a_crashed_bystander_deadlocks_the_recovery() {
         .latency(LatencyModel::Fixed(secs(0.1)))
         .build();
     let d = def.clone();
-    sys.spawn("crasher", move |ctx| {
-        ctx.enter(&d, "a", |rc| {
-            rc.work(secs(0.5))?;
+    sys.spawn("crasher", async move |ctx| {
+        ctx.enter(&d, "a", async |rc| {
+            rc.work(secs(0.5)).await?;
             rc.crash_stop()
         })
+        .await
         .map(|_| ())
     });
     let d = def.clone();
-    sys.spawn("bystander", move |ctx| {
-        ctx.enter(&d, "b", |rc| rc.work(secs(60.0))).map(|_| ())
+    sys.spawn("bystander", async move |ctx| {
+        ctx.enter(&d, "b", async |rc| rc.work(secs(60.0)).await)
+            .await
+            .map(|_| ())
     });
-    sys.spawn("raiser", move |ctx| {
-        ctx.enter(&def, "c", |rc| {
-            rc.work(secs(1.0))?;
+    sys.spawn("raiser", async move |ctx| {
+        ctx.enter(&def, "c", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.raise(Exception::new("e2"))
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -309,22 +328,28 @@ fn bounded_wait_does_not_misfire_on_slow_peers() {
         .latency(LatencyModel::Fixed(secs(RESOLUTION_TIMEOUT / 4.0)))
         .build();
     let d = def.clone();
-    sys.spawn("a", move |ctx| {
-        let outcome = ctx.enter(&d, "a", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("a", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "a", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
     let d = def.clone();
-    sys.spawn("b", move |ctx| {
-        let outcome = ctx.enter(&d, "b", |rc| rc.work(secs(60.0)))?;
+    sys.spawn("b", async move |ctx| {
+        let outcome = ctx
+            .enter(&d, "b", async |rc| rc.work(secs(60.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("raiser", move |ctx| {
-        let outcome = ctx.enter(&def, "c", |rc| {
-            rc.work(secs(0.1))?;
-            rc.raise(Exception::new("e2"))
-        })?;
+    sys.spawn("raiser", async move |ctx| {
+        let outcome = ctx
+            .enter(&def, "c", async |rc| {
+                rc.work(secs(0.1)).await?;
+                rc.raise(Exception::new("e2"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });

@@ -30,21 +30,25 @@ fn mixed_epsilon_and_phi_signals() {
         .role("b", 1u32)
         .graph(graph_with("e"))
         .interface(["EPS"])
-        .handler("a", "e", |_| {
+        .handler("a", "e", async |_| {
             Ok(HandlerVerdict::Signal(ExceptionId::new("EPS")))
         })
-        .handler("b", "e", |_| Ok(HandlerVerdict::Recovered))
+        .handler("b", "e", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("e")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| rc.raise(Exception::new("e")))
+            .await?;
         assert_eq!(outcome, ActionOutcome::Signalled(ExceptionId::new("EPS")));
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         // b recovered; from its side the action completed successfully.
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
@@ -62,26 +66,30 @@ fn undo_request_rolls_back_all_participants() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph_with("insufficient"))
-        .handler("a", "insufficient", |_| Ok(HandlerVerdict::Undo))
-        .handler("b", "insufficient", |_| Ok(HandlerVerdict::Recovered))
+        .handler("a", "insufficient", async |_| Ok(HandlerVerdict::Undo))
+        .handler("b", "insufficient", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let mut sys = System::builder().build();
     let (a, oa) = (action.clone(), obj_a.clone());
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| {
-            rc.update(&oa, |v| *v -= 50)?;
-            rc.raise(Exception::new("insufficient"))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| {
+                rc.update(&oa, |v| *v -= 50).await?;
+                rc.raise(Exception::new("insufficient"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Undone);
         Ok(())
     });
     let ob = obj_b.clone();
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| {
-            rc.update(&ob, |v| *v += 50)?;
-            rc.work(secs(10.0))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| {
+                rc.update(&ob, |v| *v += 50).await?;
+                rc.work(secs(10.0)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Undone);
         Ok(())
     });
@@ -103,27 +111,31 @@ fn failed_undo_escalates_to_failure_for_all() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph_with("jam"))
-        .handler("a", "jam", |_| Ok(HandlerVerdict::Undo))
-        .handler("b", "jam", |_| Ok(HandlerVerdict::Recovered))
+        .handler("a", "jam", async |_| Ok(HandlerVerdict::Undo))
+        .handler("b", "jam", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let mut sys = System::builder().build();
     let (a, rev) = (action.clone(), reversible.clone());
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| {
-            rc.update(&rev, |v| *v = 7)?;
-            rc.raise(Exception::new("jam"))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| {
+                rc.update(&rev, |v| *v = 7).await?;
+                rc.raise(Exception::new("jam"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed, "ƒ dominates µ");
         Ok(())
     });
     let fo = forged.clone();
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| {
-            // The forging cannot be undone.
-            rc.update(&fo, |v| *v = 1)?;
-            rc.work(secs(10.0))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| {
+                // The forging cannot be undone.
+                rc.update(&fo, |v| *v = 1).await?;
+                rc.work(secs(10.0)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed);
         Ok(())
     });
@@ -142,19 +154,23 @@ fn direct_failure_dominates_without_undo_round() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph_with("fatal"))
-        .handler("a", "fatal", |_| Ok(HandlerVerdict::Fail))
-        .handler("b", "fatal", |_| Ok(HandlerVerdict::Undo))
+        .handler("a", "fatal", async |_| Ok(HandlerVerdict::Fail))
+        .handler("b", "fatal", async |_| Ok(HandlerVerdict::Undo))
         .build()
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("fatal")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| rc.raise(Exception::new("fatal")))
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed);
         Ok(())
     });
@@ -176,9 +192,9 @@ fn undo_hook_failure_turns_undo_into_failure() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph_with("e"))
-        .handler("a", "e", |_| Ok(HandlerVerdict::Undo))
-        .handler("b", "e", |_| Ok(HandlerVerdict::Recovered))
-        .undo_hook("b", move |_| {
+        .handler("a", "e", async |_| Ok(HandlerVerdict::Undo))
+        .handler("b", "e", async |_| Ok(HandlerVerdict::Recovered))
+        .undo_hook("b", async move |_| {
             hr.fetch_add(1, Ordering::SeqCst);
             Ok(false) // compensation failed
         })
@@ -186,13 +202,17 @@ fn undo_hook_failure_turns_undo_into_failure() {
         .unwrap();
     let mut sys = System::builder().build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("e")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| rc.raise(Exception::new("e")))
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         assert_eq!(outcome, ActionOutcome::Failed);
         Ok(())
     });
@@ -212,10 +232,10 @@ fn lost_signal_message_is_treated_as_failure() {
         .graph(graph_with("e"))
         .interface(["EPS"])
         .signal_timeout(secs(5.0))
-        .handler("a", "e", |_| {
+        .handler("a", "e", async |_| {
             Ok(HandlerVerdict::Signal(ExceptionId::new("EPS")))
         })
-        .handler("b", "e", |_| Ok(HandlerVerdict::Recovered))
+        .handler("b", "e", async |_| Ok(HandlerVerdict::Recovered))
         .build()
         .unwrap();
     let mut sys = System::builder()
@@ -230,8 +250,10 @@ fn lost_signal_message_is_treated_as_failure() {
         )
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| rc.raise(Exception::new("e")))?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| rc.raise(Exception::new("e")))
+            .await?;
         assert_eq!(
             outcome,
             ActionOutcome::Failed,
@@ -239,12 +261,14 @@ fn lost_signal_message_is_treated_as_failure() {
         );
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
+    sys.spawn("T1", async move |ctx| {
         // T1's own exchange completes (it received T0's announcement), but
         // T0 times out and announces nothing further; T1 sees a clean
         // round and reports its own signal. Fault-free coordination of the
         // *victim* side is what the extension guarantees.
-        let outcome = ctx.enter(&action, "b", |rc| rc.work(secs(10.0)))?;
+        let outcome = ctx
+            .enter(&action, "b", async |rc| rc.work(secs(10.0)).await)
+            .await?;
         assert!(
             matches!(outcome, ActionOutcome::Success | ActionOutcome::Failed),
             "unexpected outcome {outcome}"
@@ -264,11 +288,11 @@ fn corrupted_app_message_raises_l_mes() {
         .role("a", 0u32)
         .role("b", 1u32)
         .graph(graph_with("l_mes"))
-        .handler("a", "l_mes", move |_| {
+        .handler("a", "l_mes", async move |_| {
             h0.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("b", "l_mes", move |_| {
+        .handler("b", "l_mes", async move |_| {
             h1.fetch_add(1, Ordering::SeqCst);
             Ok(HandlerVerdict::Recovered)
         })
@@ -279,19 +303,23 @@ fn corrupted_app_message_raises_l_mes() {
         .faults(FaultPlan::new().corrupt(FaultSpec::any().class("App").count(1)))
         .build();
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "a", |rc| {
-            rc.send_to_role("b", "reading", 3u8)?;
-            rc.work(secs(10.0))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "a", async |rc| {
+                rc.send_to_role("b", "reading", 3u8)?;
+                rc.work(secs(10.0)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "b", |rc| {
-            let _msg = rc.recv_app()?;
-            rc.work(secs(10.0))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "b", async |rc| {
+                let _msg = rc.recv_app().await?;
+                rc.work(secs(10.0)).await
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
@@ -316,22 +344,24 @@ fn competing_actions_serialize_on_shared_objects() {
         .unwrap();
     let mut sys = System::builder().build();
     let ra = resource.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&action_a, "w", |rc| {
-            rc.update(&ra, |v| v.push(1))?;
-            rc.work(secs(5.0))?; // hold the object for 5 s
-            rc.update(&ra, |v| v.push(2))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&action_a, "w", async |rc| {
+            rc.update(&ra, |v| v.push(1)).await?;
+            rc.work(secs(5.0)).await?; // hold the object for 5 s
+            rc.update(&ra, |v| v.push(2)).await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     let rb = resource.clone();
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&action_b, "w", |rc| {
-            rc.work(secs(1.0))?; // start after T0 acquired
-            rc.update(&rb, |v| v.push(3))?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&action_b, "w", async |rc| {
+            rc.work(secs(1.0)).await?; // start after T0 acquired
+            rc.update(&rb, |v| v.push(3)).await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
@@ -351,7 +381,7 @@ fn undone_action_releases_objects() {
     let failing = ActionDef::builder("failing")
         .role("w", 0u32)
         .graph(graph)
-        .handler("w", "e", |_| Ok(HandlerVerdict::Undo))
+        .handler("w", "e", async |_| Ok(HandlerVerdict::Undo))
         .build()
         .unwrap();
     let succeeding = ActionDef::builder("succeeding")
@@ -360,21 +390,24 @@ fn undone_action_releases_objects() {
         .unwrap();
     let mut sys = System::builder().build();
     let ra = resource.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&failing, "w", |rc| {
-            rc.update(&ra, |v| *v = 99)?;
-            rc.raise(Exception::new("e"))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&failing, "w", async |rc| {
+                rc.update(&ra, |v| *v = 99).await?;
+                rc.raise(Exception::new("e"))
+            })
+            .await?;
         assert_eq!(outcome, ActionOutcome::Undone);
         Ok(())
     });
     let rb = resource.clone();
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&succeeding, "w", |rc| {
-            rc.work(secs(1.0))?;
-            rc.update(&rb, |v| *v += 1)?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&succeeding, "w", async |rc| {
+            rc.work(secs(1.0)).await?;
+            rc.update(&rb, |v| *v += 1).await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();

@@ -10,7 +10,7 @@
 //! sender's program order, which virtual time makes deterministic, and each
 //! link draws from its own budget instance — so the set of affected
 //! messages is a pure function of per-link sequence numbers, independent of
-//! the wall-clock order in which different partitions' same-instant sends
+//! the order in which different partitions' same-instant sends
 //! reach the injector. Unpinned rules ([`FaultSpec::any`]) therefore replay
 //! exactly; `skip(n).count(m)` reads as "on every matching link, let `n`
 //! matching messages through, then affect the next `m`".

@@ -5,7 +5,7 @@
 //! (§3.2.3). The default model draws per-message latencies uniformly from
 //! `(0, Tmmax]`, deterministically: the latency of the *k*-th message on a
 //! link is a pure function of `(seed, src, dst, k)`, so a simulation replays
-//! identically regardless of OS thread scheduling.
+//! identically.
 //!
 //! An optional **acknowledgment timeout** models the behaviour the paper
 //! observed past `Tmmax ≈ 1 s` (Figure 10): "the execution time will

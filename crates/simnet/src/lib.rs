@@ -13,10 +13,11 @@
 //! * **Deterministic latencies** via [`LatencyModel`] — the paper's `Tmmax`
 //!   parameter — plus the acknowledgment-timeout retransmission model that
 //!   reproduces the >1 s knee of Figure 10;
-//! * **Virtual time** ([`ClockMode::Virtual`]): endpoints are OS threads,
-//!   but time is simulated and advances only when all of them are blocked,
-//!   so a 260-virtual-second experiment finishes in milliseconds and a
-//!   global deadlock is *detected and reported* rather than hanging the
+//! * **Virtual time on one thread**: each partition's program is a future
+//!   bound to its endpoint, and [`Network::run`] polls them all on the
+//!   calling thread. Time is simulated and advances only when no task is
+//!   ready, so a 260-virtual-second experiment finishes in milliseconds and
+//!   a global deadlock is *detected and reported* rather than hanging the
 //!   test suite (the property Theorem 1 proves the protocols never
 //!   exhibit);
 //! * **Message counters** ([`NetStats`]) for verifying the paper's
@@ -30,30 +31,28 @@
 //! and fault budgets are consumed **per directed link** as a pure
 //! function of per-link sequence numbers — so even unpinned
 //! ([`FaultSpec::any`]) loss/corruption rules affect the identical
-//! messages on every replay. The only nondeterminism OS scheduling can
-//! introduce is *wall-clock* interleaving of same-instant events, which
-//! never feeds back into virtual time.
+//! messages on every replay. Same-instant events run in a deterministic
+//! task order, so the executor's own counters ([`SchedStats`]) replay
+//! exactly too.
 //!
 //! # Targeted wake-ups
 //!
-//! Scheduling is wake-targeted, not broadcast: every endpoint parks on
-//! its own slot, a delivery wakes only its (already-deliverable)
-//! receiver, and a time advance wakes only the endpoints whose wake-up
-//! point was reached — the unique next runners instead of the herd. For
-//! wait conditions the network cannot see (e.g. the runtime's
-//! shared-object arbitration), [`Endpoint::park_wait`] parks a thread
-//! with no polling timer at all and [`Network::schedule_wake`] lets
-//! whoever *enables* the condition ring that thread's doorbell at a
-//! chosen virtual instant — wake-on-release rather than
-//! wake-every-quantum. Wake-up routing is pure wall-clock optimisation:
-//! it decides how threads sleep, never what they observe, so traces are
-//! byte-identical to the broadcast design's.
+//! Scheduling is wake-targeted, not broadcast: a delivery readies only its
+//! (already-deliverable) receiver, and a time advance only the endpoints
+//! whose wake-up point was reached. For wait conditions the network cannot
+//! see (e.g. the runtime's shared-object arbitration),
+//! [`Endpoint::park_wait`] suspends a task with no polling timer at all
+//! and [`Network::schedule_wake`] lets whoever *enables* the condition
+//! ring that task's doorbell at a chosen virtual instant — wake-on-release
+//! rather than wake-every-quantum.
 //!
 //! # Examples
 //!
 //! ```
-//! use caa_simnet::{Classify, ClockMode, LatencyModel, NetConfig, Network};
+//! use caa_simnet::{Classify, LatencyModel, NetConfig, Network};
 //! use caa_core::time::secs;
+//! use std::cell::Cell;
+//! use std::rc::Rc;
 //!
 //! #[derive(Debug)]
 //! struct Hello;
@@ -62,7 +61,6 @@
 //! }
 //!
 //! let net: Network<Hello> = Network::new(NetConfig {
-//!     mode: ClockMode::Virtual,
 //!     latency: LatencyModel::UniformUpTo(secs(0.2)),
 //!     seed: 7,
 //!     ..NetConfig::default()
@@ -71,10 +69,15 @@
 //! let mut b = net.endpoint("b");
 //! let b_id = b.id();
 //! a.send(b_id, Hello);
-//! let worker = std::thread::spawn(move || b.recv().map(|r| r.delivered_at));
 //! a.retire();
-//! let delivered_at = worker.join().unwrap().unwrap();
-//! assert!(delivered_at.as_secs_f64() <= 0.2);
+//! let delivered_at = Rc::new(Cell::new(0.0));
+//! let seen = Rc::clone(&delivered_at);
+//! net.spawn(b_id, async move {
+//!     let received = b.recv().await.expect("no deadlock");
+//!     seen.set(received.delivered_at.as_secs_f64());
+//! });
+//! assert!(net.run().is_empty());
+//! assert!(delivered_at.get() <= 0.2);
 //! ```
 
 #![warn(missing_docs)]
@@ -90,8 +93,8 @@ mod tap;
 pub use fault::{FaultPlan, FaultSpec};
 pub use latency::{effective_latency, LatencyModel};
 pub use net::{
-    ClockMode, DeadlockInfo, Endpoint, NetArena, NetConfig, Network, Parked, Received, SchedStats,
-    SimError,
+    DeadlockInfo, Endpoint, NetArena, NetConfig, Network, Parked, Received, SchedStats, SimError,
+    TaskPanic,
 };
 pub use stats::{Classify, NetStats};
 pub use tap::{NetTap, TapEvent};

@@ -1,4 +1,4 @@
-//! The simulated message-passing network and its virtual-time scheduler.
+//! The simulated message-passing network and its virtual-time executor.
 //!
 //! The paper's prototype runs each participating thread in its own Ada 95
 //! partition on top of "a simple, and hence portable, subsystem for message
@@ -11,76 +11,62 @@
 //!   reliable unless a [`FaultPlan`] injects losses or corruption;
 //! * latencies come from a deterministic [`LatencyModel`], optionally
 //!   inflated by the acknowledgment-timeout retransmission model;
-//! * in [`ClockMode::Virtual`] the network doubles as a conservative
-//!   virtual-time scheduler: virtual time advances only when every live
-//!   endpoint is blocked, directly to the earliest wake-up point. A global
-//!   block with no wake-up point is a genuine deadlock and is reported as
-//!   [`SimError::Deadlock`] to every participant — the property Theorem 1
-//!   says the resolution algorithm never triggers.
+//! * the network doubles as a conservative virtual-time executor: each
+//!   partition's program is a [`Future`] bound to its endpoint
+//!   ([`Network::spawn`]), and [`Network::run`] polls them on the calling
+//!   thread. Virtual time advances only when no task is ready, directly to
+//!   the earliest wake-up point. A global block with no wake-up point is a
+//!   genuine deadlock and is reported as [`SimError::Deadlock`] to every
+//!   participant — the property Theorem 1 says the resolution algorithm
+//!   never triggers.
 //!
-//! # Locking (the split hot path)
+//! # Scheduling
 //!
-//! State is split so that a send mostly touches the **receiver's shard**:
-//!
-//! * each endpoint owns a [`Mailbox`] behind its own mutex — the delivery
-//!   heap plus a *dense* per-source [`LinkState`] row (the per-pair FIFO
-//!   and sequence matrix, distributed across receivers);
-//! * a small scheduler mutex guards the clock, the per-endpoint blocked
-//!   state/wake-up points, the message counters and deadlock detection —
-//!   the only cross-endpoint critical section a send enters;
-//! * the virtual clock is mirrored in an atomic so running threads read
-//!   `now` without any lock: time only advances when **every** live
-//!   endpoint is blocked, so a running sender can never race an advance.
-//!
-//! Lock order: the scheduler mutex may acquire a mailbox mutex (receive
-//! paths evaluate their predicate under both), but no thread ever holds a
-//! mailbox mutex while acquiring the scheduler mutex — senders release the
-//! shard before entering the scheduler section. Delivery order and
-//! time-advance order are byte-identical to the single-lock design: the
-//! heap keys, FIFO clamps and wake-up arbitration are unchanged.
+//! The blocking endpoint operations ([`Endpoint::recv`],
+//! [`Endpoint::recv_deadline`], [`Endpoint::park_wait_until`],
+//! [`Endpoint::sleep`]) are futures. Polled, each evaluates its predicate
+//! against the endpoint's mailbox at the current instant; when it does not
+//! hold, the endpoint records what it is blocked on and the earliest
+//! instant its predicate could hold (its *wake-up point*), and the task
+//! suspends. Tasks become ready again in a deterministic order: a delivery
+//! readies only its (already-deliverable) receiver, a doorbell only its
+//! owner, and a time advance the endpoints whose wake-up point was reached,
+//! in partition order. A task that blocks while no other task is ready
+//! advances the clock itself and carries on without suspending when it is
+//! the next to wake — the suspension would only hand control straight
+//! back to it.
 //!
 //! # Arena reuse
 //!
 //! Sweep drivers execute thousands of sub-millisecond simulations; a
-//! [`NetArena`] recycles the allocation-heavy parts (actor slots with
-//! their condvars, mailbox heaps, link rows) from one finished network
-//! into the next (see [`Network::new_reusing`] / [`Network::reclaim`]).
-//! Reuse is invisible to the simulation: recycled state is fully cleared.
+//! [`NetArena`] recycles the allocation-heavy parts (endpoint slots with
+//! their delivery heaps and link rows) from one finished network into the
+//! next (see [`Network::new_reusing`] / [`Network::reclaim`]). Reuse is
+//! invisible to the simulation: recycled state is fully cleared.
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use caa_core::ids::PartitionId;
 use caa_core::time::{VirtualDuration, VirtualInstant};
-use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::fault::FaultPlan;
 use crate::latency::{effective_latency, LatencyModel};
 use crate::stats::{Classify, NetStats};
 use crate::tap::{NetTap, TapEvent};
 
-/// How the network experiences time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockMode {
-    /// Virtual time: delays are simulated; wall-clock speed is limited only
-    /// by the host CPU. Deterministic given a seed and a deterministic
-    /// application.
-    #[default]
-    Virtual,
-    /// Real time: `sleep` and latencies consume wall-clock time. Used by
-    /// smoke tests to demonstrate the protocols do not depend on the
-    /// virtual-time machinery.
-    Real,
-}
-
 /// Configuration for a [`Network`].
 #[derive(Clone, Default)]
 pub struct NetConfig {
-    /// Virtual or real time.
-    pub mode: ClockMode,
     /// Per-message latency model (the paper's `Tmmax` lives here).
     pub latency: LatencyModel,
     /// Seed for deterministic latency sampling.
@@ -98,7 +84,6 @@ pub struct NetConfig {
 impl fmt::Debug for NetConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetConfig")
-            .field("mode", &self.mode)
             .field("latency", &self.latency)
             .field("seed", &self.seed)
             .field("ack_timeout", &self.ack_timeout)
@@ -113,8 +98,7 @@ impl fmt::Debug for NetConfig {
 #[non_exhaustive]
 pub enum SimError {
     /// Every live endpoint is blocked with no pending wake-up: the system
-    /// can never make progress again. Only possible in
-    /// [`ClockMode::Virtual`].
+    /// can never make progress again.
     Deadlock(DeadlockInfo),
 }
 
@@ -212,45 +196,6 @@ impl BlockKind {
     }
 }
 
-struct ActorSlot {
-    name: Arc<str>,
-    alive: bool,
-    running: bool,
-    blocked_on: BlockKind,
-    wake_at: Option<VirtualInstant>,
-    /// This endpoint's private parking slot. Every blocking wait parks
-    /// here, and wake-ups are *targeted*: a delivery notifies only the
-    /// receiver, a time advance only the endpoints whose wake-up point was
-    /// reached, a doorbell only its owner — never the whole herd.
-    cv: Arc<Condvar>,
-    /// Pending explicit wake-up, if any ([`Network::schedule_wake`]):
-    /// consumed by [`Endpoint::park_wait`] when virtual time reaches it.
-    doorbell: Option<VirtualInstant>,
-    /// Monotonic counter identifying the endpoint's *current* parked wait
-    /// ([`Endpoint::begin_wait`]). [`Network::schedule_wake`] carries the
-    /// epoch its computation was based on and is ignored when it does not
-    /// match — a scheduler that raced against the end of an earlier wait
-    /// (e.g. an object releaser whose winner was cancelled and has since
-    /// started waiting elsewhere) cannot plant a stale doorbell into the
-    /// new wait.
-    wait_epoch: u64,
-}
-
-impl ActorSlot {
-    fn fresh(name: Arc<str>, cv: Arc<Condvar>) -> ActorSlot {
-        ActorSlot {
-            name,
-            alive: true,
-            running: true,
-            blocked_on: BlockKind::Recv,
-            wake_at: None,
-            cv,
-            doorbell: None,
-            wait_epoch: 0,
-        }
-    }
-}
-
 struct Envelope<M> {
     deliver_at: VirtualInstant,
     src: PartitionId,
@@ -288,23 +233,61 @@ struct LinkState {
     last_delivery: VirtualInstant,
 }
 
-/// One endpoint's receive shard: the delivery heap plus the dense
-/// per-source link row (`links_in[src]` is the `(src → this)` cell of the
-/// network's link matrix). Guarded by its own mutex so a send contends
-/// only with traffic for the *same* receiver.
-struct Mailbox<M> {
+/// One endpoint: its scheduling state plus its receive side — the
+/// delivery heap and the dense per-source link row (`links_in[src]` is the
+/// `(src → this)` cell of the network's link matrix).
+struct Actor<M> {
+    name: Arc<str>,
     alive: bool,
+    /// What the endpoint's task is suspended on; `None` while it runs (or
+    /// before its first wait).
+    blocked: Option<BlockKind>,
+    /// The earliest instant the blocked predicate could hold (`None` =
+    /// only a message or a doorbell can help).
+    wake_at: Option<VirtualInstant>,
+    /// Queued in the executor's ready queue.
+    ready: bool,
+    /// Pending explicit wake-up, if any ([`Network::schedule_wake`]):
+    /// consumed by [`Endpoint::park_wait`] when virtual time reaches it.
+    doorbell: Option<VirtualInstant>,
+    /// Monotonic counter identifying the endpoint's *current* parked wait
+    /// ([`Endpoint::begin_wait`]). [`Network::schedule_wake`] carries the
+    /// epoch its computation was based on and is ignored when it does not
+    /// match — a scheduler that computed a wake-up against an earlier wait
+    /// (e.g. an object releaser whose winner was cancelled and has since
+    /// started waiting elsewhere) cannot plant a stale doorbell into the
+    /// new wait.
+    wait_epoch: u64,
     queue: BinaryHeap<Reverse<Envelope<M>>>,
     links_in: Vec<LinkState>,
 }
 
-impl<M> Mailbox<M> {
-    fn empty() -> Mailbox<M> {
-        Mailbox {
-            alive: true,
+impl<M> Actor<M> {
+    fn empty() -> Actor<M> {
+        Actor {
+            name: Arc::from(""),
+            alive: false,
+            blocked: None,
+            wake_at: None,
+            ready: false,
+            doorbell: None,
+            wait_epoch: 0,
             queue: BinaryHeap::new(),
             links_in: Vec::new(),
         }
+    }
+
+    /// Clears the slot for (re)use, keeping heap and row capacity.
+    fn reset(&mut self, name: Arc<str>) {
+        self.name = name;
+        self.alive = true;
+        self.blocked = None;
+        self.wake_at = None;
+        self.ready = false;
+        self.doorbell = None;
+        self.wait_epoch = 0;
+        self.queue.clear();
+        self.links_in.clear();
     }
 
     /// The `(src → this)` link cell, grown on demand (dense by source
@@ -340,82 +323,41 @@ impl<M> Mailbox<M> {
         self.queue.peek().map(|Reverse(env)| env.deliver_at)
     }
 
-    /// Clears the shard for arena reuse, keeping heap and row capacity.
-    fn recycle(&mut self) {
-        self.alive = true;
+    fn retire(&mut self) {
+        self.alive = false;
+        self.blocked = None;
         self.queue.clear();
-        self.links_in.clear();
     }
 }
 
-/// The scheduler shard: clock, per-endpoint blocked state and wake-up
-/// points, counters, deadlock state — the single small cross-endpoint
-/// critical section of the hot path.
-struct Sched {
-    now: VirtualInstant,
-    actors: Vec<ActorSlot>,
-    stats: NetStats,
-    deadlocked: Option<DeadlockInfo>,
-    /// Recycled actor slots handed out by [`Network::endpoint`] before any
-    /// fresh allocation (see [`NetArena`]).
-    spare_slots: Vec<ActorSlot>,
+/// The earlier of two optional instants (`None` = no bound).
+fn earliest(a: Option<VirtualInstant>, b: Option<VirtualInstant>) -> Option<VirtualInstant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
-struct Shared<M> {
-    sched: Mutex<Sched>,
-    /// One shard per endpoint, in registration order. Senders take a brief
-    /// read lock to fetch the receiver's shard handle; endpoints cache
-    /// their own.
-    mailboxes: RwLock<Vec<Arc<Mutex<Mailbox<M>>>>>,
-    /// Recycled mailbox shards handed out before fresh allocation.
-    spare_mailboxes: Mutex<Vec<Arc<Mutex<Mailbox<M>>>>>,
-    /// Fault rules live outside the scheduler lock (budgets are per
-    /// directed link, so decision order across links is free); the flag
-    /// lets the fault-free common case skip the lock entirely.
-    faults: Mutex<FaultPlan>,
-    has_faults: bool,
-    /// Mirror of `Sched::now` in nanoseconds. Running threads read it
-    /// without a lock: virtual time only advances when every live endpoint
-    /// is blocked, so no running reader can race an advance.
-    now_ns: AtomicU64,
-    mode: ClockMode,
-    latency: LatencyModel,
-    seed: u64,
-    ack_timeout: Option<VirtualDuration>,
-    tap: Option<Arc<dyn NetTap>>,
-    start: std::time::Instant,
-    /// Condvar park count across all endpoints (see [`SchedStats`]).
-    /// Atomic, not under `sched`: wake sites run after dropping the
-    /// scheduler lock (senders never hold it while notifying).
-    parks: AtomicU64,
-    /// Condvar notify count across all wake sites (see [`SchedStats`]).
-    wakes: AtomicU64,
-}
-
-/// Scheduler self-metrics: condvar handoffs between the simulated
-/// threads. One `park` is one OS-level condvar wait (a futex sleep on
-/// Linux); one `wake` is one targeted `notify_one` (plus the broadcast on
-/// deadlock). These are **wall-clock facts about the host scheduler**, not
-/// virtual-time facts about the protocol: identical seeds produce
-/// identical traces but may park slightly differently depending on OS
-/// interleaving, so report these separately from deterministic metrics
-/// and gate them with ceilings, not equalities.
+/// Executor counters: task suspensions and wake-ups. One `park` is one
+/// task poll that returned `Pending`; one `wake` is one suspended task
+/// made ready again (by a delivery, a doorbell, a time advance or the
+/// deadlock broadcast). Both are pure functions of the simulated run, so
+/// identical seeds report identical counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Number of condvar waits entered by blocked endpoints.
+    /// Task polls that returned `Pending`.
     pub parks: u64,
-    /// Number of condvar notifies issued by wake sites.
+    /// Suspended tasks made ready.
     pub wakes: u64,
 }
 
-/// Recycled allocations of a finished [`Network`]: actor slots (with their
-/// condvar allocations) and mailbox shards (with their heap and link-row
-/// capacity). Obtained from [`Network::reclaim`], consumed by
-/// [`Network::new_reusing`]. Purely an allocation cache — a network built
-/// from an arena is observably identical to a fresh one.
+/// Recycled allocations of a finished [`Network`]: endpoint slots with
+/// their delivery-heap and link-row capacity. Obtained from
+/// [`Network::reclaim`], consumed by [`Network::new_reusing`]. Purely an
+/// allocation cache — a network built from an arena is observably
+/// identical to a fresh one.
 pub struct NetArena<M> {
-    slots: Vec<ActorSlot>,
-    mailboxes: Vec<Arc<Mutex<Mailbox<M>>>>,
+    slots: Vec<Actor<M>>,
 }
 
 impl<M> NetArena<M> {
@@ -423,16 +365,13 @@ impl<M> NetArena<M> {
     /// [`Network::new_reusing`]).
     #[must_use]
     pub fn new() -> NetArena<M> {
-        NetArena {
-            slots: Vec::new(),
-            mailboxes: Vec::new(),
-        }
+        NetArena { slots: Vec::new() }
     }
 
     /// How many endpoint slots the arena currently caches.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.slots.len().min(self.mailboxes.len())
+        self.slots.len()
     }
 }
 
@@ -446,20 +385,115 @@ impl<M> fmt::Debug for NetArena<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetArena")
             .field("slots", &self.slots.len())
-            .field("mailboxes", &self.mailboxes.len())
             .finish()
     }
 }
 
-/// The simulated network (and, in virtual mode, the time scheduler).
+/// A spawned partition program.
+type Task = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A panic payload caught while polling a task, with the task's endpoint.
+pub type TaskPanic = (PartitionId, Box<dyn Any + Send>);
+
+/// Clock, endpoints, counters and the ready queue.
+struct State<M> {
+    now: VirtualInstant,
+    actors: Vec<Actor<M>>,
+    /// Recycled slots handed out by [`Network::endpoint`] before any fresh
+    /// allocation (see [`NetArena`]).
+    spare: Vec<Actor<M>>,
+    ready: VecDeque<usize>,
+    stats: NetStats,
+    sched: SchedStats,
+    faults: FaultPlan,
+    deadlocked: Option<DeadlockInfo>,
+}
+
+impl<M> State<M> {
+    /// Queues endpoint `i`'s task unless it is already queued.
+    fn make_ready(&mut self, i: usize) {
+        let actor = &mut self.actors[i];
+        if !actor.ready {
+            actor.ready = true;
+            self.ready.push_back(i);
+            self.sched.wakes += 1;
+        }
+    }
+
+    /// The conservative time-advance rule, applied when no task is ready:
+    /// advance the clock to the earliest wake-up point among the blocked
+    /// endpoints and ready exactly those whose point was reached, in
+    /// partition order — or, with no wake-up point anywhere, declare
+    /// deadlock and ready every blocked endpoint to report it. `me` is the
+    /// endpoint asking, if any: it is not queued, and the result says
+    /// whether it must re-evaluate its predicate.
+    fn advance(&mut self, me: Option<usize>) -> bool {
+        if !self.ready.is_empty() || self.deadlocked.is_some() {
+            return false;
+        }
+        let blocked = |a: &Actor<M>| a.alive && a.blocked.is_some();
+        let min_wake = self
+            .actors
+            .iter()
+            .filter(|a| blocked(a))
+            .filter_map(|a| a.wake_at)
+            .min();
+        match min_wake {
+            Some(t) => self.now = t,
+            None if self.actors.iter().any(blocked) => {
+                self.deadlocked = Some(DeadlockInfo {
+                    at: self.now,
+                    blocked: self
+                        .actors
+                        .iter()
+                        .filter(|a| a.alive)
+                        .map(|a| {
+                            (
+                                a.name.to_string(),
+                                a.blocked.map_or("idle", BlockKind::label),
+                            )
+                        })
+                        .collect(),
+                });
+            }
+            None => return false,
+        }
+        let mut me_woken = false;
+        for i in 0..self.actors.len() {
+            let actor = &self.actors[i];
+            let due = min_wake.is_none_or(|t| actor.wake_at.is_some_and(|w| w <= t));
+            if !blocked(actor) || !due {
+                continue;
+            }
+            if me == Some(i) {
+                me_woken = true;
+            } else {
+                self.make_ready(i);
+            }
+        }
+        me_woken
+    }
+}
+
+struct Shared<M> {
+    state: RefCell<State<M>>,
+    /// One slot per endpoint: its spawned program, taken out while polled.
+    tasks: RefCell<Vec<Option<Task>>>,
+    latency: LatencyModel,
+    seed: u64,
+    ack_timeout: Option<VirtualDuration>,
+    tap: Option<Arc<dyn NetTap>>,
+}
+
+/// The simulated network and its virtual-time executor.
 ///
-/// Cheap to clone; all clones share state.
+/// Cheap to clone; all clones share state. A network and its endpoints
+/// live on one thread: [`Network::run`] polls every spawned task there.
 ///
 /// # Examples
 ///
 /// ```
 /// use caa_simnet::{Network, NetConfig, Classify};
-/// use caa_core::time::secs;
 ///
 /// #[derive(Debug)]
 /// struct Ping(u32);
@@ -472,39 +506,41 @@ impl<M> fmt::Debug for NetArena<M> {
 /// let mut b = net.endpoint("b");
 /// let b_id = b.id();
 ///
-/// let handle = std::thread::spawn(move || {
-///     let got = b.recv().expect("no deadlock");
-///     got.msg.expect("not corrupted").0
+/// let got = std::rc::Rc::new(std::cell::Cell::new(0));
+/// let seen = std::rc::Rc::clone(&got);
+/// net.spawn(b_id, async move {
+///     let received = b.recv().await.expect("no deadlock");
+///     seen.set(received.msg.expect("not corrupted").0);
 /// });
 /// a.send(b_id, Ping(7));
 /// a.retire();
-/// assert_eq!(handle.join().unwrap(), 7);
+/// assert!(net.run().is_empty(), "no task panicked");
+/// assert_eq!(got.get(), 7);
 /// # assert_eq!(net.stats().sent("Ping"), 1);
 /// ```
 pub struct Network<M> {
-    shared: Arc<Shared<M>>,
+    shared: Rc<Shared<M>>,
 }
 
 impl<M> Clone for Network<M> {
     fn clone(&self) -> Self {
         Network {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
 
 impl<M> fmt::Debug for Network<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sched = self.shared.sched.lock();
+        let state = self.shared.state.borrow();
         f.debug_struct("Network")
-            .field("mode", &self.shared.mode)
-            .field("now", &sched.now)
-            .field("endpoints", &sched.actors.len())
+            .field("now", &state.now)
+            .field("endpoints", &state.actors.len())
             .finish()
     }
 }
 
-impl<M: Send + Classify> Network<M> {
+impl<M: Classify + 'static> Network<M> {
     /// Creates a network with the given configuration.
     #[must_use]
     pub fn new(config: NetConfig) -> Self {
@@ -518,29 +554,23 @@ impl<M: Send + Classify> Network<M> {
     #[must_use]
     pub fn new_reusing(config: NetConfig, arena: Option<NetArena<M>>) -> Self {
         let arena = arena.unwrap_or_default();
-        let has_faults = !config.faults.is_empty();
         Network {
-            shared: Arc::new(Shared {
-                sched: Mutex::new(Sched {
+            shared: Rc::new(Shared {
+                state: RefCell::new(State {
                     now: VirtualInstant::EPOCH,
                     actors: Vec::new(),
+                    spare: arena.slots,
+                    ready: VecDeque::new(),
                     stats: NetStats::default(),
+                    sched: SchedStats::default(),
+                    faults: config.faults,
                     deadlocked: None,
-                    spare_slots: arena.slots,
                 }),
-                mailboxes: RwLock::new(Vec::new()),
-                spare_mailboxes: Mutex::new(arena.mailboxes),
-                faults: Mutex::new(config.faults),
-                has_faults,
-                now_ns: AtomicU64::new(VirtualInstant::EPOCH.as_nanos()),
-                mode: config.mode,
+                tasks: RefCell::new(Vec::new()),
                 latency: config.latency,
                 seed: config.seed,
                 ack_timeout: config.ack_timeout,
                 tap: config.tap,
-                start: std::time::Instant::now(),
-                parks: AtomicU64::new(0),
-                wakes: AtomicU64::new(0),
             }),
         }
     }
@@ -552,356 +582,210 @@ impl<M: Send + Classify> Network<M> {
     /// opportunistically after every run.
     #[must_use]
     pub fn reclaim(self) -> Option<NetArena<M>> {
-        let shared = Arc::try_unwrap(self.shared).ok()?;
-        let sched = shared.sched.into_inner();
-        let mut slots = sched.actors;
-        slots.extend(sched.spare_slots);
-        for slot in &mut slots {
-            slot.doorbell = None;
-            slot.wake_at = None;
-            slot.wait_epoch = 0;
-        }
-        let mut mailboxes = Vec::new();
-        for mut arc in shared
-            .mailboxes
-            .into_inner()
-            .into_iter()
-            .chain(shared.spare_mailboxes.into_inner())
-        {
-            // A leaked endpoint keeps its shard alive; skip that shard
-            // rather than aliasing it into the next network.
-            if let Some(mailbox) = Arc::get_mut(&mut arc) {
-                mailbox.get_mut().recycle();
-                mailboxes.push(arc);
-            }
-        }
-        Some(NetArena { slots, mailboxes })
+        let shared = Rc::try_unwrap(self.shared).ok()?;
+        let state = shared.state.into_inner();
+        let mut slots = state.actors;
+        slots.extend(state.spare);
+        Some(NetArena { slots })
     }
 
     /// Registers a new endpoint (one partition / participating thread).
-    ///
-    /// The endpoint is counted as *running* from this moment, so register it
-    /// before handing it to its thread — otherwise virtual time may advance
-    /// past events the thread would have handled.
+    /// Endpoint ids are assigned in registration order.
     pub fn endpoint(&self, name: impl Into<Arc<str>>) -> Endpoint<M> {
-        let name = name.into();
-        let mailbox = match self.shared.spare_mailboxes.lock().pop() {
-            Some(arc) => arc,
-            None => Arc::new(Mutex::new(Mailbox::empty())),
-        };
-        let mut sched = self.shared.sched.lock();
+        let mut state = self.shared.state.borrow_mut();
         let id =
-            PartitionId::new(u32::try_from(sched.actors.len()).expect("fewer than 2^32 endpoints"));
-        let slot = match sched.spare_slots.pop() {
-            Some(mut slot) => {
-                let cv = Arc::clone(&slot.cv);
-                slot = ActorSlot::fresh(name, cv);
-                slot
-            }
-            None => ActorSlot::fresh(name, Arc::new(Condvar::new())),
-        };
-        sched.actors.push(slot);
-        drop(sched);
-        self.shared.mailboxes.write().push(Arc::clone(&mailbox));
+            PartitionId::new(u32::try_from(state.actors.len()).expect("fewer than 2^32 endpoints"));
+        let mut actor = state.spare.pop().unwrap_or_else(Actor::empty);
+        actor.reset(name.into());
+        state.actors.push(actor);
         Endpoint {
             net: self.clone(),
             id,
-            mailbox,
-            retired: false,
         }
     }
 
-    /// Current time (virtual, or wall-clock since creation in real mode).
+    /// Binds `task` — the program of the partition behind endpoint `id`,
+    /// which it normally owns — to the executor. The task is ready at once
+    /// and first polled by [`Network::run`]. It may await only this
+    /// network's endpoint operations: they are what readies it again.
     ///
-    /// In virtual mode this is a lock-free atomic read: the clock only
-    /// moves while every live endpoint is blocked, so a running caller
-    /// always sees the exact current instant.
+    /// # Panics
+    ///
+    /// If `id` was never registered or already has a task.
+    pub fn spawn(&self, id: PartitionId, task: impl Future<Output = ()> + 'static) {
+        let i = id.index();
+        let mut tasks = self.shared.tasks.borrow_mut();
+        if tasks.len() <= i {
+            tasks.resize_with(i + 1, || None);
+        }
+        assert!(tasks[i].is_none(), "endpoint {id} already has a task");
+        tasks[i] = Some(Box::pin(task));
+        let mut state = self.shared.state.borrow_mut();
+        assert!(i < state.actors.len(), "endpoint {id} is not registered");
+        state.actors[i].ready = true;
+        state.ready.push_back(i);
+    }
+
+    /// Polls the spawned tasks on the calling thread until none is left:
+    /// ready tasks in the order they became ready, and — whenever none is
+    /// ready — the conservative time-advance rule (advance to the earliest
+    /// wake-up point, or declare deadlock and ready every blocked task).
+    ///
+    /// A task that panics is dropped (retiring the endpoint it owns) and
+    /// its panic payload returned; the others run on.
+    #[must_use = "a task panic is only reported through the returned list"]
+    pub fn run(&self) -> Vec<TaskPanic> {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut panics = Vec::new();
+        loop {
+            let next = {
+                let mut state = self.shared.state.borrow_mut();
+                if state.ready.is_empty() {
+                    state.advance(None);
+                }
+                state
+                    .ready
+                    .pop_front()
+                    .inspect(|&i| state.actors[i].ready = false)
+            };
+            let Some(i) = next else { break };
+            let Some(mut task) = self.shared.tasks.borrow_mut()[i].take() else {
+                continue;
+            };
+            match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+                Ok(Poll::Ready(())) => {}
+                Ok(Poll::Pending) => {
+                    self.shared.state.borrow_mut().sched.parks += 1;
+                    self.shared.tasks.borrow_mut()[i] = Some(task);
+                }
+                Err(payload) => panics.push((PartitionId::new(i as u32), payload)),
+            }
+        }
+        // A task left here awaits something other than the network and can
+        // never be readied again; dropping it retires its endpoint.
+        let stranded: Vec<Task> = self.shared.tasks.borrow_mut().drain(..).flatten().collect();
+        drop(stranded);
+        panics
+    }
+
+    /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> VirtualInstant {
-        match self.shared.mode {
-            ClockMode::Virtual => {
-                VirtualInstant::from_nanos(self.shared.now_ns.load(Ordering::Acquire))
-            }
-            ClockMode::Real => self.real_now(),
-        }
+        self.shared.state.borrow().now
     }
 
     /// Snapshot of the message counters.
     #[must_use]
     pub fn stats(&self) -> NetStats {
-        self.shared.sched.lock().stats.clone()
+        self.shared.state.borrow().stats.clone()
     }
 
-    /// Snapshot of the scheduler's park/wake handoff counters (wall-clock
-    /// facts — see [`SchedStats`] for why these are not deterministic).
+    /// Snapshot of the executor's park/wake counters (see [`SchedStats`]).
     #[must_use]
     pub fn sched_stats(&self) -> SchedStats {
-        SchedStats {
-            parks: self.shared.parks.load(Ordering::Relaxed),
-            wakes: self.shared.wakes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn real_now(&self) -> VirtualInstant {
-        let nanos = self.shared.start.elapsed().as_nanos();
-        VirtualInstant::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
-    }
-
-    fn now_locked(&self, sched: &Sched) -> VirtualInstant {
-        match self.shared.mode {
-            ClockMode::Virtual => sched.now,
-            ClockMode::Real => self.real_now(),
-        }
-    }
-
-    fn mailbox_of(&self, id: PartitionId) -> Option<Arc<Mutex<Mailbox<M>>>> {
-        self.shared.mailboxes.read().get(id.index()).map(Arc::clone)
+        self.shared.state.borrow().sched
     }
 
     fn send_from(&self, src: PartitionId, dst: PartitionId, msg: M) {
         let class = msg.class();
         let correlation = msg.correlation();
-        let tap_event = |at, deliver_at, seq| TapEvent {
-            src,
-            dst,
-            class,
-            correlation,
-            at,
-            deliver_at,
-            seq,
-        };
-        // Stable while we run: the sender's own endpoint is running, so
-        // the advance arbiter cannot move the clock under us.
-        let now = self.now();
+        let shared = &*self.shared;
+        let mut guard = shared.state.borrow_mut();
+        let state = &mut *guard;
+        let now = state.now;
 
-        // Fault decisions are pure functions of per-link budgets; the
-        // common fault-free case skips the lock entirely.
-        let (lost, corrupted) = if self.shared.has_faults {
-            let mut faults = self.shared.faults.lock();
-            if faults.should_lose(src, dst, class) {
-                (true, false)
-            } else {
-                (false, faults.should_corrupt(src, dst, class))
-            }
-        } else {
-            (false, false)
-        };
+        let lost = state.faults.should_lose(src, dst, class);
+        let corrupted = !lost && state.faults.should_corrupt(src, dst, class);
 
-        let Some(mailbox) = self.mailbox_of(dst) else {
+        let (seq, deliver_at) = match state.actors.get_mut(dst.index()) {
             // Destination never registered: nothing to deliver to and no
             // link row to book a per-link sequence on (ids normally only
             // come from registration, so this needs a hand-built
             // `PartitionId`). The message was still *accepted* — count it
             // and surface it to the tap like a datagram to a dead host,
             // with the link sequence pinned to 0.
-            let mut sched = self.shared.sched.lock();
-            if lost {
-                sched.stats.record_dropped(class);
-            } else {
-                sched.stats.record_sent(class);
-                if corrupted {
-                    sched.stats.record_corrupted(class);
-                }
-            }
-            drop(sched);
-            if let Some(tap) = &self.shared.tap {
-                let event = tap_event(now, now, 0);
-                if lost {
-                    tap.on_dropped(&event);
-                } else {
-                    tap.on_sent(&event);
-                    if corrupted {
-                        tap.on_corrupted(&event);
-                    }
-                }
-            }
-            return;
-        };
-
-        if lost {
-            // A lost message still occupies its slot in the per-link
-            // sequence, so tap consumers see a unique (src, dst, seq) per
-            // message whether it was delivered or lost.
-            let seq = {
-                let mut mb = mailbox.lock();
-                let link = mb.link(src);
+            None => (0, now),
+            Some(receiver) => {
+                // A lost message still occupies its slot in the per-link
+                // sequence, so tap consumers see a unique (src, dst, seq)
+                // per message whether it was delivered or lost.
+                let alive = receiver.alive;
+                let link = receiver.link(src);
                 let seq = link.seq;
                 link.seq += 1;
-                seq
-            };
-            self.shared.sched.lock().stats.record_dropped(class);
-            if let Some(tap) = &self.shared.tap {
-                tap.on_dropped(&tap_event(now, now, seq));
+                if lost {
+                    (seq, now)
+                } else {
+                    let raw = shared.latency.sample(shared.seed, src, dst, seq);
+                    let eff = effective_latency(raw, shared.ack_timeout);
+                    let mut deliver_at = now.saturating_add(eff);
+                    // Per-link FIFO (Assumption 2): never deliver before an
+                    // earlier message on the same link.
+                    if deliver_at <= link.last_delivery {
+                        deliver_at = link
+                            .last_delivery
+                            .saturating_add(VirtualDuration::from_nanos(1));
+                    }
+                    link.last_delivery = deliver_at;
+                    if eff > raw && !raw.is_zero() {
+                        state.stats.record_retransmissions(
+                            eff.as_nanos().saturating_sub(raw.as_nanos()) / raw.as_nanos().max(1),
+                        );
+                    }
+                    // A message to a retired endpoint is lost like a
+                    // datagram to a dead host — but it was accepted, so
+                    // counters and tap still see it.
+                    if alive {
+                        receiver.queue.push(Reverse(Envelope {
+                            deliver_at,
+                            src,
+                            seq,
+                            sent_at: now,
+                            msg: (!corrupted).then_some(msg),
+                        }));
+                        // A receiver blocked on messages learns when it
+                        // becomes wakeable, and is readied (alone) if the
+                        // message is deliverable already. A message still
+                        // in flight needs no wake-up: only a time advance
+                        // can make it deliverable.
+                        if receiver.blocked.is_some_and(BlockKind::receives_messages) {
+                            receiver.wake_at = earliest(receiver.wake_at, Some(deliver_at));
+                            if deliver_at <= now {
+                                state.make_ready(dst.index());
+                            }
+                        }
+                    }
+                    (seq, deliver_at)
+                }
             }
-            return;
-        }
-
-        // Receiver shard: book the link slot, sample the latency, apply
-        // the per-link FIFO clamp and enqueue — all without touching any
-        // other endpoint's traffic.
-        let (seq, deliver_at, raw, eff, delivered) = {
-            let mut mb = mailbox.lock();
-            let alive = mb.alive;
-            let link = mb.link(src);
-            let seq = link.seq;
-            link.seq += 1;
-            let raw = self.shared.latency.sample(self.shared.seed, src, dst, seq);
-            let eff = effective_latency(raw, self.shared.ack_timeout);
-            let mut deliver_at = now.saturating_add(eff);
-            // Per-link FIFO (Assumption 2): never deliver before an
-            // earlier message on the same link.
-            if deliver_at <= link.last_delivery {
-                deliver_at = link
-                    .last_delivery
-                    .saturating_add(VirtualDuration::from_nanos(1));
-            }
-            link.last_delivery = deliver_at;
-            if alive {
-                mb.queue.push(Reverse(Envelope {
-                    deliver_at,
-                    src,
-                    seq,
-                    sent_at: now,
-                    msg: (!corrupted).then_some(msg),
-                }));
-            }
-            // A message to a retired endpoint is lost like a datagram to a
-            // dead host — but it was accepted, so counters and tap still
-            // see it.
-            (seq, deliver_at, raw, eff, alive)
         };
-
-        // Scheduler shard: counters plus the blocked-receiver check — the
-        // small clock/blocked-state critical section.
-        let mut wake_dst = None;
-        {
-            let mut sched = self.shared.sched.lock();
-            sched.stats.record_sent(class);
+        if lost {
+            state.stats.record_dropped(class);
+        } else {
+            state.stats.record_sent(class);
             if corrupted {
-                sched.stats.record_corrupted(class);
-            }
-            if eff > raw && !raw.is_zero() {
-                sched.stats.record_retransmissions(
-                    eff.as_nanos().saturating_sub(raw.as_nanos()) / raw.as_nanos().max(1),
-                );
-            }
-            if delivered {
-                // If the destination is blocked waiting for messages,
-                // ensure the scheduler knows when it becomes wakeable —
-                // and wake it (alone) if the message is already
-                // deliverable. A message still in flight needs no wake-up:
-                // only a time advance can make it deliverable, and the
-                // advance arbiter wakes exactly the endpoints whose
-                // wake-up point was reached.
-                let now = self.now_locked(&sched);
-                let slot = &mut sched.actors[dst.index()];
-                if slot.alive && !slot.running && slot.blocked_on.receives_messages() {
-                    slot.wake_at = Some(match slot.wake_at {
-                        Some(existing) => existing.min(deliver_at),
-                        None => deliver_at,
-                    });
-                    let deliverable = match self.shared.mode {
-                        ClockMode::Virtual => deliver_at <= now,
-                        // Real mode has no advance arbiter: the receiver
-                        // must wake to rearm its wall-clock wait for the
-                        // new delivery time.
-                        ClockMode::Real => true,
-                    };
-                    if deliverable {
-                        wake_dst = Some(Arc::clone(&slot.cv));
-                    }
-                }
+                state.stats.record_corrupted(class);
             }
         }
-        if let Some(tap) = &self.shared.tap {
-            let event = tap_event(now, deliver_at, seq);
-            tap.on_sent(&event);
-            if corrupted {
-                tap.on_corrupted(&event);
-            }
-        }
-        if let Some(cv) = wake_dst {
-            self.shared.wakes.fetch_add(1, Ordering::Relaxed);
-            cv.notify_one();
-        }
-    }
-
-    /// Core blocking primitive.
-    ///
-    /// Re-evaluates `pred` under the scheduler lock (with the caller's own
-    /// mailbox shard locked beneath it) whenever woken; while blocked,
-    /// `wake_hint` tells the scheduler the earliest instant at which
-    /// `pred` could become true (None = only a message or retirement can
-    /// help).
-    fn block_until<T>(
-        &self,
-        id: PartitionId,
-        mailbox: &Mutex<Mailbox<M>>,
-        kind: BlockKind,
-        mut pred: impl FnMut(&mut Sched, &mut Mailbox<M>, VirtualInstant) -> Option<T>,
-        mut wake_hint: impl FnMut(&Sched, &Mailbox<M>, VirtualInstant) -> Option<VirtualInstant>,
-    ) -> Result<T, SimError> {
-        let mut sched = self.shared.sched.lock();
-        // Each endpoint parks on its own slot; wake-ups are targeted at
-        // exactly the endpoints whose predicate may now hold.
-        let cv = Arc::clone(&sched.actors[id.index()].cv);
-        loop {
-            if let Some(info) = &sched.deadlocked {
-                return Err(SimError::Deadlock(info.clone()));
-            }
-            let now = self.now_locked(&sched);
-            let hint = {
-                let mut mb = mailbox.lock();
-                if let Some(v) = pred(&mut sched, &mut mb, now) {
-                    sched.actors[id.index()].running = true;
-                    return Ok(v);
-                }
-                wake_hint(&sched, &mb, now)
+        drop(guard);
+        if let Some(tap) = &shared.tap {
+            let event = TapEvent {
+                src,
+                dst,
+                class,
+                correlation,
+                at: now,
+                deliver_at,
+                seq,
             };
-            {
-                let slot = &mut sched.actors[id.index()];
-                slot.running = false;
-                slot.blocked_on = kind;
-                slot.wake_at = hint;
-            }
-            match self.shared.mode {
-                ClockMode::Virtual => {
-                    // If our own blocking triggered an advance (or deadlock
-                    // detection), the notification fired before we could
-                    // wait — re-evaluate instead of waiting for it.
-                    let changed =
-                        advance_if_blocked(&mut sched, &self.shared.now_ns, &self.shared.wakes);
-                    if !changed && sched.deadlocked.is_none() {
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        cv.wait(&mut sched);
-                    }
+            if lost {
+                tap.on_dropped(&event);
+            } else {
+                tap.on_sent(&event);
+                if corrupted {
+                    tap.on_corrupted(&event);
                 }
-                ClockMode::Real => match hint {
-                    Some(t) => {
-                        let dur: std::time::Duration = t.duration_since(self.real_now()).into();
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        let _ = cv.wait_for(&mut sched, dur);
-                    }
-                    None => {
-                        self.shared.parks.fetch_add(1, Ordering::Relaxed);
-                        cv.wait(&mut sched);
-                    }
-                },
             }
-        }
-    }
-
-    fn retire_actor(&self, id: PartitionId, mailbox: &Mutex<Mailbox<M>>) {
-        mailbox.lock().alive = false;
-        let mut sched = self.shared.sched.lock();
-        let slot = &mut sched.actors[id.index()];
-        if !slot.alive {
-            return;
-        }
-        slot.alive = false;
-        slot.running = false;
-        if self.shared.mode == ClockMode::Virtual {
-            advance_if_blocked(&mut sched, &self.shared.now_ns, &self.shared.wakes);
         }
     }
 
@@ -912,8 +796,8 @@ impl<M: Send + Classify> Network<M> {
     ///
     /// This is the targeted-wake hook for *wait-condition* scheduling
     /// above the network (the runtime's wake-on-release object
-    /// arbitration): the component that knows when a parked thread's wait
-    /// condition can next hold schedules exactly that thread, instead of
+    /// arbitration): the component that knows when a parked task's wait
+    /// condition can next hold schedules exactly that task, instead of
     /// every waiter polling on a timer. Overwrite semantics are
     /// deliberate — the scheduler recomputes the wake-up on every state
     /// change, and the latest computation supersedes earlier ones.
@@ -924,43 +808,59 @@ impl<M: Send + Classify> Network<M> {
     /// targeted wait has since ended — the doorbell would be stale, and
     /// is dropped. Unknown or retired endpoints are ignored too.
     pub fn schedule_wake(&self, id: PartitionId, at: VirtualInstant, epoch: u64) {
-        let mailbox = self.mailbox_of(id);
-        let mut sched = self.shared.sched.lock();
-        let i = id.index();
-        if i >= sched.actors.len() || !sched.actors[i].alive {
+        let mut state = self.shared.state.borrow_mut();
+        let now = state.now;
+        let Some(actor) = state.actors.get_mut(id.index()) else {
             return;
+        };
+        if !actor.alive || actor.wait_epoch != epoch {
+            return; // retired, or stale: computed against a finished wait
         }
-        let now = self.now_locked(&sched);
-        let head = mailbox.as_ref().and_then(|mb| mb.lock().head_deliver_at());
-        let slot = &mut sched.actors[i];
-        if slot.wait_epoch != epoch {
-            return; // stale: computed against an earlier, finished wait
-        }
-        slot.doorbell = Some(at);
-        let mut wake = None;
-        if !slot.running && slot.blocked_on == BlockKind::Park {
+        actor.doorbell = Some(at);
+        if actor.blocked == Some(BlockKind::Park) {
             // Re-derive the park's wake hint (min of next delivery and the
-            // new doorbell).
-            slot.wake_at = Some(match head {
-                Some(h) => h.min(at),
-                None => at,
-            });
-            let due = match self.shared.mode {
-                // Wake the owner only if the bell is already due — the
-                // advance arbiter will deliver future bells at `at`.
-                ClockMode::Virtual => at <= now,
-                // Real mode has no advance arbiter: the owner must wake to
-                // re-arm its wall-clock wait for the new bell.
-                ClockMode::Real => true,
-            };
-            if due {
-                wake = Some(Arc::clone(&slot.cv));
+            // new doorbell); ready the owner only if the bell is already
+            // due — a time advance rings future bells at `at`.
+            actor.wake_at = earliest(actor.head_deliver_at(), Some(at));
+            if at <= now {
+                state.make_ready(id.index());
             }
         }
-        drop(sched);
-        if let Some(cv) = wake {
-            self.shared.wakes.fetch_add(1, Ordering::Relaxed);
-            cv.notify_one();
+    }
+
+    /// Core blocking primitive, one poll of it: evaluates `pred` against
+    /// endpoint `id` at the current instant. When it does not hold, the
+    /// endpoint records `kind` and the wake-up point `wake_hint` computes
+    /// (the earliest instant `pred` could hold; `None` = only a message or
+    /// a doorbell can help). If no other task is ready, the caller applies
+    /// the time-advance rule itself and re-evaluates when it is the next
+    /// to wake; otherwise it suspends.
+    fn poll_block<T>(
+        &self,
+        id: PartitionId,
+        kind: BlockKind,
+        pred: &mut impl FnMut(&mut Actor<M>, VirtualInstant) -> Option<T>,
+        wake_hint: &mut impl FnMut(&Actor<M>) -> Option<VirtualInstant>,
+    ) -> Poll<Result<T, SimError>> {
+        let i = id.index();
+        let mut state = self.shared.state.borrow_mut();
+        loop {
+            if let Some(info) = &state.deadlocked {
+                let err = SimError::Deadlock(info.clone());
+                state.actors[i].blocked = None;
+                return Poll::Ready(Err(err));
+            }
+            let now = state.now;
+            let actor = &mut state.actors[i];
+            if let Some(v) = pred(actor, now) {
+                actor.blocked = None;
+                return Poll::Ready(Ok(v));
+            }
+            actor.blocked = Some(kind);
+            actor.wake_at = wake_hint(actor);
+            if !state.advance(Some(i)) {
+                return Poll::Pending;
+            }
         }
     }
 }
@@ -968,26 +868,19 @@ impl<M: Send + Classify> Network<M> {
 /// One participant's connection to the [`Network`] — the paper's partition.
 ///
 /// Sending is `&self`; receiving is `&mut self` (an endpoint has a single
-/// consumer: its owning thread). Dropping the endpoint retires it.
+/// consumer: its partition's task). Dropping the endpoint retires it.
 pub struct Endpoint<M> {
     net: Network<M>,
     id: PartitionId,
-    /// This endpoint's own receive shard (cached so the receive paths
-    /// never touch the shard directory).
-    mailbox: Arc<Mutex<Mailbox<M>>>,
-    retired: bool,
 }
 
 impl<M> fmt::Debug for Endpoint<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("id", &self.id)
-            .field("retired", &self.retired)
-            .finish()
+        f.debug_struct("Endpoint").field("id", &self.id).finish()
     }
 }
 
-impl<M: Send + Classify> Endpoint<M> {
+impl<M: Classify + 'static> Endpoint<M> {
     /// This endpoint's partition id.
     #[must_use]
     pub fn id(&self) -> PartitionId {
@@ -1013,20 +906,17 @@ impl<M: Send + Classify> Endpoint<M> {
         self.net.send_from(self.id, dst, msg);
     }
 
-    /// Receives the next message, blocking until one is deliverable.
+    /// Receives the next message, waiting until one is deliverable.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress (virtual mode only).
-    pub fn recv(&mut self) -> Result<Received<M>, SimError> {
-        self.net.block_until(
-            self.id,
-            &self.mailbox,
-            BlockKind::Recv,
-            |_, mb, now| mb.pop_ready(now),
-            |_, mb, _| mb.head_deliver_at(),
-        )
+    /// progress.
+    pub async fn recv(&mut self) -> Result<Received<M>, SimError> {
+        let (net, id) = (&self.net, self.id);
+        let mut pred = |actor: &mut Actor<M>, now| actor.pop_ready(now);
+        let mut hint = |actor: &Actor<M>| actor.head_deliver_at();
+        poll_fn(|_| net.poll_block(id, BlockKind::Recv, &mut pred, &mut hint)).await
     }
 
     /// Receives the next message if one is already deliverable.
@@ -1035,12 +925,12 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the simulation already deadlocked.
     pub fn try_recv(&mut self) -> Result<Option<Received<M>>, SimError> {
-        let sched = self.net.shared.sched.lock();
-        if let Some(info) = &sched.deadlocked {
+        let mut state = self.net.shared.state.borrow_mut();
+        if let Some(info) = &state.deadlocked {
             return Err(SimError::Deadlock(info.clone()));
         }
-        let now = self.net.now_locked(&sched);
-        Ok(self.mailbox.lock().pop_ready(now))
+        let now = state.now;
+        Ok(state.actors[self.id.index()].pop_ready(now))
     }
 
     /// Receives the next message, waiting at most `timeout`.
@@ -1052,64 +942,55 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
-    pub fn recv_timeout(
+    pub async fn recv_timeout(
         &mut self,
         timeout: VirtualDuration,
     ) -> Result<Option<Received<M>>, SimError> {
-        let deadline = self.net.now().saturating_add(timeout);
-        self.recv_deadline(deadline)
+        let deadline = self.now().saturating_add(timeout);
+        self.recv_deadline(deadline).await
     }
 
-    /// Receives the next message, waiting until `deadline` at the latest —
     /// [`Endpoint::recv_timeout`] with an absolute instant instead of a
-    /// duration, so per-round protocol waits (the §3.4 signalling timeout,
-    /// the bounded exit wait, the membership extension's bounded resolution
-    /// wait) can share one deadline across many receive calls without the
-    /// caller re-deriving a remaining duration each time.
+    /// duration, so per-round protocol waits (the §3.4 signalling timeout, the
+    /// bounded exit wait, the membership extension's bounded resolution
+    /// wait) can share one deadline across many receive calls.
     ///
-    /// Returns `Ok(None)` once virtual time reaches `deadline` with nothing
-    /// deliverable.
+    /// Returns `Ok(None)` once virtual time reaches `deadline` with
+    /// nothing deliverable.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
-    pub fn recv_deadline(
+    pub async fn recv_deadline(
         &mut self,
         deadline: VirtualInstant,
     ) -> Result<Option<Received<M>>, SimError> {
-        self.net.block_until(
-            self.id,
-            &self.mailbox,
-            BlockKind::Recv,
-            |_, mb, now| match mb.pop_ready(now) {
-                Some(r) => Some(Some(r)),
-                None if now >= deadline => Some(None),
-                None => None,
-            },
-            |_, mb, _| match mb.head_deliver_at() {
-                Some(h) => Some(h.min(deadline)),
-                None => Some(deadline),
-            },
-        )
+        let (net, id) = (&self.net, self.id);
+        let mut pred = |actor: &mut Actor<M>, now| match actor.pop_ready(now) {
+            Some(r) => Some(Some(r)),
+            None if now >= deadline => Some(None),
+            None => None,
+        };
+        let mut hint = |actor: &Actor<M>| earliest(actor.head_deliver_at(), Some(deadline));
+        poll_fn(|_| net.poll_block(id, BlockKind::Recv, &mut pred, &mut hint)).await
     }
 
     /// Parks until a message becomes deliverable or this endpoint's
     /// doorbell rings — the wait-condition-driven counterpart of polling
-    /// with [`Endpoint::recv_timeout`]. While parked, the endpoint
+    /// with [`Endpoint::recv_deadline`]. While parked, the endpoint
     /// contributes no wake-up point beyond its doorbell (if set) and its
     /// next delivery (if any): a waiter whose condition can only be
-    /// enabled by *another* thread parks unboundedly and is woken by a
+    /// enabled by *another* task parks unboundedly and is woken by a
     /// targeted [`Network::schedule_wake`] from whoever enables it.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
-    /// progress. With doorbell-less parked waiters this now also covers
-    /// waits nobody will ever enable — a wait-for cycle that the old
-    /// polling design would spin on forever.
-    pub fn park_wait(&mut self) -> Result<Parked<M>, SimError> {
-        self.park_wait_until(None)
+    /// progress — which also covers waits nobody will ever enable (a
+    /// wait-for cycle).
+    pub async fn park_wait(&mut self) -> Result<Parked<M>, SimError> {
+        self.park_wait_until(None).await
     }
 
     /// Like [`Endpoint::park_wait`], but additionally wakes with
@@ -1125,42 +1006,27 @@ impl<M: Send + Classify> Endpoint<M> {
     ///
     /// [`SimError::Deadlock`] if the whole simulation can no longer make
     /// progress.
-    pub fn park_wait_until(
+    pub async fn park_wait_until(
         &mut self,
         deadline: Option<VirtualInstant>,
     ) -> Result<Parked<M>, SimError> {
-        let id = self.id;
-        self.net.block_until(
-            id,
-            &self.mailbox,
-            BlockKind::Park,
-            |sched, mb, now| {
-                if let Some(received) = mb.pop_ready(now) {
-                    return Some(Parked::Msg(received));
-                }
-                let slot = &mut sched.actors[id.index()];
-                if slot.doorbell.is_some_and(|at| at <= now) {
-                    slot.doorbell = None;
-                    return Some(Parked::Doorbell);
-                }
-                if deadline.is_some_and(|at| at <= now) {
-                    return Some(Parked::Deadline);
-                }
-                None
-            },
-            |sched, mb, _| {
-                let head = mb.head_deliver_at();
-                let bell = sched.actors[id.index()].doorbell;
-                let hint = match (head, bell) {
-                    (Some(h), Some(b)) => Some(h.min(b)),
-                    (head, bell) => head.or(bell),
-                };
-                match (hint, deadline) {
-                    (Some(h), Some(d)) => Some(h.min(d)),
-                    (hint, deadline) => hint.or(deadline),
-                }
-            },
-        )
+        let (net, id) = (&self.net, self.id);
+        let mut pred = |actor: &mut Actor<M>, now| {
+            if let Some(received) = actor.pop_ready(now) {
+                return Some(Parked::Msg(received));
+            }
+            if actor.doorbell.is_some_and(|at| at <= now) {
+                actor.doorbell = None;
+                return Some(Parked::Doorbell);
+            }
+            deadline
+                .is_some_and(|at| at <= now)
+                .then_some(Parked::Deadline)
+        };
+        let mut hint = |actor: &Actor<M>| {
+            earliest(earliest(actor.head_deliver_at(), actor.doorbell), deadline)
+        };
+        poll_fn(|_| net.poll_block(id, BlockKind::Park, &mut pred, &mut hint)).await
     }
 
     /// Opens a new parked wait: discards any doorbell left over from an
@@ -1168,14 +1034,14 @@ impl<M: Send + Classify> Endpoint<M> {
     /// to whichever scheduler will compute this wait's wake-ups (e.g. an
     /// object's waiter queue); [`Network::schedule_wake`] calls carrying
     /// an older epoch are ignored from this point on, so a scheduler that
-    /// raced against the end of the previous wait cannot ring a stale
+    /// computed against the end of the previous wait cannot ring a stale
     /// bell into this one.
     pub fn begin_wait(&self) -> u64 {
-        let mut sched = self.net.shared.sched.lock();
-        let slot = &mut sched.actors[self.id.index()];
-        slot.doorbell = None;
-        slot.wait_epoch += 1;
-        slot.wait_epoch
+        let mut state = self.net.shared.state.borrow_mut();
+        let actor = &mut state.actors[self.id.index()];
+        actor.doorbell = None;
+        actor.wait_epoch += 1;
+        actor.wait_epoch
     }
 
     /// Sleeps for `dur` — models local computation taking virtual time.
@@ -1183,111 +1049,27 @@ impl<M: Send + Classify> Endpoint<M> {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] if the simulation deadlocked while sleeping.
-    pub fn sleep(&self, dur: VirtualDuration) -> Result<(), SimError> {
+    pub async fn sleep(&self, dur: VirtualDuration) -> Result<(), SimError> {
         if dur.is_zero() {
             return Ok(());
         }
-        let deadline = self.net.now().saturating_add(dur);
-        self.net.block_until(
-            self.id,
-            &self.mailbox,
-            BlockKind::Sleep,
-            |_, _, now| (now >= deadline).then_some(()),
-            |_, _, _| Some(deadline),
-        )
+        let (net, id) = (&self.net, self.id);
+        let deadline = net.now().saturating_add(dur);
+        let mut pred = |_: &mut Actor<M>, now| (now >= deadline).then_some(());
+        let mut hint = |_: &Actor<M>| Some(deadline);
+        poll_fn(|_| net.poll_block(id, BlockKind::Sleep, &mut pred, &mut hint)).await
     }
 
-    /// Retires the endpoint: the scheduler stops waiting for this
+    /// Retires the endpoint: the executor stops waiting for this
     /// participant and undelivered messages to it are discarded.
-    pub fn retire(mut self) {
-        self.retired = true;
-        self.net.retire_actor(self.id, &self.mailbox);
+    pub fn retire(self) {
+        drop(self);
     }
 }
 
 impl<M> Drop for Endpoint<M> {
     fn drop(&mut self) {
-        if !self.retired {
-            // Duplicate of retire() without the Classify bound.
-            self.mailbox.lock().alive = false;
-            let net = &self.net;
-            let mut sched = net.shared.sched.lock();
-            let slot = &mut sched.actors[self.id.index()];
-            if slot.alive {
-                slot.alive = false;
-                slot.running = false;
-                if net.shared.mode == ClockMode::Virtual {
-                    advance_if_blocked(&mut sched, &net.shared.now_ns, &net.shared.wakes);
-                }
-            }
-        }
-    }
-}
-
-/// The virtual-time advance arbiter (callable without `M: Classify`, for
-/// `Drop`): if every live endpoint is blocked, advances time to the
-/// earliest wake-up point and notifies **only** the endpoints whose
-/// wake-up point was reached — the unique next runner(s), not the herd —
-/// or, with no wake-up point anywhere, declares deadlock and wakes
-/// everyone to report it. Returns whether it changed the world, so the
-/// calling blocker re-evaluates instead of missing its own wake-up.
-fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64, wakes: &AtomicU64) -> bool {
-    if sched.deadlocked.is_some() {
-        return false;
-    }
-    let live = sched.actors.iter().filter(|a| a.alive);
-    let mut min_wake: Option<VirtualInstant> = None;
-    for actor in live {
-        if actor.running {
-            return false; // someone can still make progress right now
-        }
-        if let Some(w) = actor.wake_at {
-            if w <= sched.now {
-                return false; // already wakeable; it was notified
-            }
-            min_wake = Some(match min_wake {
-                Some(m) => m.min(w),
-                None => w,
-            });
-        }
-    }
-    match min_wake {
-        Some(t) => {
-            sched.now = t;
-            now_ns.store(t.as_nanos(), Ordering::Release);
-            for actor in &sched.actors {
-                if actor.alive && !actor.running && actor.wake_at.is_some_and(|w| w <= t) {
-                    wakes.fetch_add(1, Ordering::Relaxed);
-                    actor.cv.notify_one();
-                }
-            }
-            true
-        }
-        None => {
-            let any_live = sched.actors.iter().any(|a| a.alive);
-            if !any_live {
-                return false; // everyone retired: nothing to schedule
-            }
-            let info = DeadlockInfo {
-                at: sched.now,
-                blocked: sched
-                    .actors
-                    .iter()
-                    .filter(|a| a.alive)
-                    .map(|a| (a.name.to_string(), a.blocked_on.label()))
-                    .collect(),
-            };
-            sched.deadlocked = Some(info);
-            // Everyone must observe the deadlock: this is the one
-            // remaining broadcast wake-up, and the simulation is over.
-            for actor in &sched.actors {
-                if actor.alive && !actor.running {
-                    wakes.fetch_add(1, Ordering::Relaxed);
-                    actor.cv.notify_one();
-                }
-            }
-            true
-        }
+        self.net.shared.state.borrow_mut().actors[self.id.index()].retire();
     }
 }
 
@@ -1295,7 +1077,7 @@ fn advance_if_blocked(sched: &mut Sched, now_ns: &AtomicU64, wakes: &AtomicU64) 
 mod tests {
     use super::*;
     use caa_core::time::secs;
-    use std::thread;
+    use std::cell::RefCell;
 
     #[derive(Debug, PartialEq)]
     struct Msg(u64);
@@ -1307,87 +1089,115 @@ mod tests {
 
     fn virtual_net(latency: LatencyModel) -> Network<Msg> {
         Network::new(NetConfig {
-            mode: ClockMode::Virtual,
             latency,
             seed: 42,
-            ack_timeout: None,
-            faults: FaultPlan::new(),
-            tap: None,
+            ..NetConfig::default()
         })
+    }
+
+    /// Spawns `program` on `endpoint`'s partition; the returned slot holds
+    /// the program's output once [`run`] has driven it to completion.
+    fn spawn<T: 'static>(
+        endpoint: Endpoint<Msg>,
+        program: impl AsyncFnOnce(Endpoint<Msg>) -> T + 'static,
+    ) -> Rc<RefCell<Option<T>>> {
+        let slot = Rc::new(RefCell::new(None));
+        let out = Rc::clone(&slot);
+        let net = endpoint.network().clone();
+        net.spawn(endpoint.id(), async move {
+            *out.borrow_mut() = Some(program(endpoint).await);
+        });
+        slot
+    }
+
+    /// Runs the executor, re-raising the first task panic.
+    fn run(net: &Network<Msg>) {
+        if let Some((_, payload)) = net.run().into_iter().next() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+
+    fn take<T>(slot: &Rc<RefCell<Option<T>>>) -> T {
+        slot.borrow_mut().take().expect("task ran to completion")
     }
 
     #[test]
     fn ping_pong_advances_virtual_time() {
         let net = virtual_net(LatencyModel::Fixed(secs(0.5)));
-        let mut a = net.endpoint("a");
-        let mut b = net.endpoint("b");
+        let a = net.endpoint("a");
+        let b = net.endpoint("b");
         let (a_id, b_id) = (a.id(), b.id());
-
-        let tb = thread::spawn(move || {
-            let got = b.recv().unwrap();
+        let tb = spawn(b, async move |mut b| {
+            let got = b.recv().await.unwrap();
             assert_eq!(got.msg.unwrap(), Msg(1));
             b.send(a_id, Msg(2));
-            b.retire();
             got.delivered_at
         });
-        a.send(b_id, Msg(1));
-        let reply = a.recv().unwrap();
-        assert_eq!(reply.msg.unwrap(), Msg(2));
+        let ta = spawn(a, async move |mut a| {
+            a.send(b_id, Msg(1));
+            let reply = a.recv().await.unwrap();
+            assert_eq!(reply.msg.unwrap(), Msg(2));
+            reply.delivered_at
+        });
+        run(&net);
         // Two half-second hops.
-        assert_eq!(reply.delivered_at, VirtualInstant::EPOCH + secs(1.0));
-        let t_b = tb.join().unwrap();
-        assert_eq!(t_b, VirtualInstant::EPOCH + secs(0.5));
-        a.retire();
+        assert_eq!(take(&ta), VirtualInstant::EPOCH + secs(1.0));
+        assert_eq!(take(&tb), VirtualInstant::EPOCH + secs(0.5));
         assert_eq!(net.stats().sent("Msg"), 2);
     }
 
     #[test]
     fn sleep_advances_time_without_busy_waiting() {
         let net = virtual_net(LatencyModel::default());
-        let a = net.endpoint("a");
         let wall = std::time::Instant::now();
-        a.sleep(secs(3600.0)).unwrap();
+        let done = spawn(net.endpoint("a"), async |a| a.sleep(secs(3600.0)).await);
+        run(&net);
+        take(&done).unwrap();
         assert!(net.now() >= VirtualInstant::EPOCH + secs(3600.0));
         assert!(
             wall.elapsed() < std::time::Duration::from_secs(5),
             "an hour of virtual time must take well under 5 s of wall time"
         );
-        a.retire();
+        assert_eq!(
+            net.sched_stats(),
+            SchedStats::default(),
+            "a lone sleeper advances the clock itself, never suspending"
+        );
     }
 
     #[test]
     fn fifo_per_link_despite_random_latencies() {
         let net = virtual_net(LatencyModel::UniformUpTo(secs(1.0)));
         let a = net.endpoint("a");
-        let mut b = net.endpoint("b");
+        let b = net.endpoint("b");
         let b_id = b.id();
         for i in 0..50 {
             a.send(b_id, Msg(i));
         }
         a.retire();
-        let t = thread::spawn(move || {
+        let got = spawn(b, async |mut b| {
             let mut got = Vec::new();
             for _ in 0..50 {
-                got.push(b.recv().unwrap().msg.unwrap().0);
+                got.push(b.recv().await.unwrap().msg.unwrap().0);
             }
-            b.retire();
             got
         });
-        let got = t.join().unwrap();
-        assert_eq!(got, (0..50).collect::<Vec<_>>(), "per-link FIFO violated");
+        run(&net);
+        assert_eq!(
+            take(&got),
+            (0..50).collect::<Vec<_>>(),
+            "per-link FIFO violated"
+        );
     }
 
     #[test]
     fn deadlock_is_detected_and_reported_to_all() {
         let net = virtual_net(LatencyModel::default());
-        let mut a = net.endpoint("alice");
-        let mut b = net.endpoint("bob");
         // Both wait forever for messages nobody sends.
-        let ta = thread::spawn(move || a.recv());
-        let tb = thread::spawn(move || b.recv());
-        let ra = ta.join().unwrap();
-        let rb = tb.join().unwrap();
-        for r in [ra, rb] {
+        let ra = spawn(net.endpoint("alice"), async |mut a| a.recv().await);
+        let rb = spawn(net.endpoint("bob"), async |mut b| b.recv().await);
+        run(&net);
+        for r in [take(&ra), take(&rb)] {
             match r {
                 Err(SimError::Deadlock(info)) => {
                     assert_eq!(info.blocked.len(), 2);
@@ -1402,47 +1212,43 @@ mod tests {
     #[test]
     fn sleeping_peer_prevents_false_deadlock() {
         let net = virtual_net(LatencyModel::Fixed(secs(0.1)));
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
         let a_id = a.id();
-        let tb = thread::spawn(move || {
-            b.sleep(secs(5.0)).unwrap();
+        let got = spawn(a, async |mut a| a.recv().await.unwrap());
+        spawn(b, async move |b| {
+            b.sleep(secs(5.0)).await.unwrap();
             b.send(a_id, Msg(9));
-            b.retire();
         });
-        let got = a.recv().unwrap();
+        run(&net);
+        let got = take(&got);
         assert_eq!(got.msg.unwrap(), Msg(9));
         assert_eq!(got.delivered_at, VirtualInstant::EPOCH + secs(5.1));
-        tb.join().unwrap();
-        a.retire();
     }
 
     #[test]
     fn recv_timeout_returns_none_when_nothing_arrives() {
         let net = virtual_net(LatencyModel::default());
-        let mut a = net.endpoint("a");
         // A timed wait has a wake-up point, so a lone endpoint is not a
         // deadlock: virtual time advances straight to the timeout.
-        let got = a.recv_timeout(secs(2.0)).unwrap();
-        assert!(got.is_none());
-        assert!(net.now() >= VirtualInstant::EPOCH + secs(2.0));
-        a.retire();
+        let got = spawn(net.endpoint("a"), async |mut a| {
+            a.recv_timeout(secs(2.0)).await
+        });
+        run(&net);
+        assert!(take(&got).unwrap().is_none());
+        assert_eq!(net.now(), VirtualInstant::EPOCH + secs(2.0));
     }
 
     #[test]
     fn recv_timeout_returns_message_when_it_arrives_first() {
         let net = virtual_net(LatencyModel::Fixed(secs(0.3)));
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
-        let a_id = a.id();
-        let tb = thread::spawn(move || {
-            b.send(a_id, Msg(5));
-            b.retire();
-        });
-        let got = a.recv_timeout(secs(10.0)).unwrap();
-        assert_eq!(got.unwrap().msg.unwrap(), Msg(5));
-        tb.join().unwrap();
-        a.retire();
+        b.send(a.id(), Msg(5));
+        b.retire();
+        let got = spawn(a, async |mut a| a.recv_timeout(secs(10.0)).await);
+        run(&net);
+        assert_eq!(take(&got).unwrap().unwrap().msg.unwrap(), Msg(5));
     }
 
     #[test]
@@ -1450,62 +1256,54 @@ mod tests {
         let net = virtual_net(LatencyModel::Fixed(secs(1.0)));
         let mut a = net.endpoint("a");
         let b = net.endpoint("b");
-        let a_id = a.id();
         assert!(a.try_recv().unwrap().is_none());
-        b.send(a_id, Msg(1));
+        b.send(a.id(), Msg(1));
         // In flight, not yet deliverable.
         assert!(a.try_recv().unwrap().is_none());
-        // Retire the idle endpoint: every live endpoint must be driven by a
-        // thread, or it blocks virtual-time advancement.
         b.retire();
-        // After sleeping past the latency it is deliverable.
-        a.sleep(secs(1.5)).unwrap();
-        assert_eq!(a.try_recv().unwrap().unwrap().msg.unwrap(), Msg(1));
-        a.retire();
+        let got = spawn(a, async |mut a| {
+            // After sleeping past the latency it is deliverable.
+            a.sleep(secs(1.5)).await.unwrap();
+            a.try_recv().unwrap().unwrap().msg.unwrap()
+        });
+        run(&net);
+        assert_eq!(take(&got), Msg(1));
     }
 
     #[test]
     fn lost_messages_are_counted_and_not_delivered() {
         let net: Network<Msg> = Network::new(NetConfig {
-            mode: ClockMode::Virtual,
-            latency: LatencyModel::default(),
             seed: 1,
-            ack_timeout: None,
             faults: FaultPlan::new().lose(crate::FaultSpec::any().count(1)),
-            tap: None,
+            ..NetConfig::default()
         });
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
-        let a_id = a.id();
-        b.send(a_id, Msg(1)); // lost
-        b.send(a_id, Msg(2)); // delivered
+        b.send(a.id(), Msg(1)); // lost
+        b.send(a.id(), Msg(2)); // delivered
         b.retire();
-        let got = a.recv().unwrap();
-        assert_eq!(got.msg.unwrap(), Msg(2));
+        let got = spawn(a, async |mut a| a.recv().await.unwrap());
+        run(&net);
+        assert_eq!(take(&got).msg.unwrap(), Msg(2));
         assert_eq!(net.stats().dropped("Msg"), 1);
         assert_eq!(net.stats().sent("Msg"), 1);
-        a.retire();
     }
 
     #[test]
     fn corrupted_messages_arrive_with_no_payload() {
         let net: Network<Msg> = Network::new(NetConfig {
-            mode: ClockMode::Virtual,
-            latency: LatencyModel::default(),
             seed: 1,
-            ack_timeout: None,
             faults: FaultPlan::new().corrupt(crate::FaultSpec::any().count(1)),
-            tap: None,
+            ..NetConfig::default()
         });
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
-        let a_id = a.id();
-        b.send(a_id, Msg(1));
+        b.send(a.id(), Msg(1));
         b.retire();
-        let got = a.recv().unwrap();
-        assert!(got.is_corrupted());
+        let got = spawn(a, async |mut a| a.recv().await.unwrap());
+        run(&net);
+        assert!(take(&got).is_corrupted());
         assert_eq!(net.stats().corrupted("Msg"), 1);
-        a.retire();
     }
 
     #[test]
@@ -1516,72 +1314,72 @@ mod tests {
         let b_id = b.id();
         b.retire();
         a.send(b_id, Msg(1)); // must not panic or deadlock
-        a.retire();
+        assert_eq!(net.stats().sent("Msg"), 1);
     }
 
     #[test]
     fn dropping_an_endpoint_retires_it() {
         let net = virtual_net(LatencyModel::default());
-        let mut a = net.endpoint("a");
-        {
-            let _b = net.endpoint("b");
-            // _b dropped here without explicit retire.
-        }
+        drop(net.endpoint("b"));
         // With b gone, a alone waiting forever is a deadlock.
-        let r = a.recv();
-        assert!(matches!(r, Err(SimError::Deadlock(_))));
+        let r = spawn(net.endpoint("a"), async |mut a| a.recv().await);
+        run(&net);
+        assert!(matches!(take(&r), Err(SimError::Deadlock(_))));
     }
 
     #[test]
-    fn real_mode_delivers_with_wall_clock_delay() {
-        let net: Network<Msg> = Network::new(NetConfig {
-            mode: ClockMode::Real,
-            latency: LatencyModel::Fixed(VirtualDuration::from_millis(30)),
-            seed: 0,
-            ack_timeout: None,
-            faults: FaultPlan::new(),
-            tap: None,
-        });
-        let mut a = net.endpoint("a");
+    fn a_panicking_task_is_reported_and_retired() {
+        let net = virtual_net(LatencyModel::Fixed(secs(0.1)));
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
-        let a_id = a.id();
-        let wall = std::time::Instant::now();
-        b.send(a_id, Msg(3));
-        let got = a.recv().unwrap();
-        assert_eq!(got.msg.unwrap(), Msg(3));
-        assert!(
-            wall.elapsed() >= std::time::Duration::from_millis(25),
-            "real mode must consume wall time"
-        );
-        a.retire();
-        b.retire();
+        let b_id = b.id();
+        net.spawn(a.id(), async move {
+            a.sleep(secs(1.0)).await.unwrap();
+            panic!("boom");
+        });
+        // b's bounded wait outlives a: a's death must not stall it.
+        let got = spawn(b, async move |mut b| {
+            b.recv_deadline(VirtualInstant::EPOCH + secs(2.0)).await
+        });
+        let panics = net.run();
+        assert_eq!(panics.len(), 1);
+        assert_eq!(panics[0].0, PartitionId::new(0));
+        assert_eq!(panics[0].1.downcast_ref::<&str>(), Some(&"boom"));
+        assert!(take(&got).unwrap().is_none());
+        let _ = b_id;
     }
 
     #[test]
     fn park_wait_consumes_a_scheduled_doorbell_at_its_instant() {
         let net = virtual_net(LatencyModel::default());
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let epoch = a.begin_wait();
         net.schedule_wake(a.id(), VirtualInstant::EPOCH + secs(0.005), epoch);
-        match a.park_wait().unwrap() {
-            Parked::Doorbell => {}
-            other => panic!("expected the doorbell, got {other:?}"),
-        }
-        assert_eq!(net.now(), VirtualInstant::EPOCH + secs(0.005));
-        // The bell is consumed: a further park has no wake-up point and,
-        // with no peers, is a detected deadlock (not a hang).
-        assert!(matches!(a.park_wait(), Err(SimError::Deadlock(_))));
+        let got = spawn(a, async |mut a| {
+            let first = a.park_wait().await.unwrap();
+            let at = a.now();
+            // The bell is consumed: a further park has no wake-up point
+            // and, with no peers, is a detected deadlock (not a hang).
+            (first, at, a.park_wait().await)
+        });
+        run(&net);
+        let (first, at, second) = take(&got);
+        assert!(matches!(first, Parked::Doorbell), "got {first:?}");
+        assert_eq!(at, VirtualInstant::EPOCH + secs(0.005));
+        assert!(matches!(second, Err(SimError::Deadlock(_))));
     }
 
     #[test]
     fn doorbell_with_a_stale_epoch_is_ignored() {
         let net = virtual_net(LatencyModel::default());
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let old = a.begin_wait();
         let _current = a.begin_wait();
         net.schedule_wake(a.id(), VirtualInstant::EPOCH + secs(0.001), old);
+        let got = spawn(a, async |mut a| a.park_wait().await);
+        run(&net);
         assert!(
-            matches!(a.park_wait(), Err(SimError::Deadlock(_))),
+            matches!(take(&got), Err(SimError::Deadlock(_))),
             "a doorbell computed for a finished wait must not wake the new one"
         );
     }
@@ -1589,7 +1387,7 @@ mod tests {
     #[test]
     fn deliverable_message_beats_a_same_instant_doorbell() {
         let net = virtual_net(LatencyModel::Fixed(secs(0.001)));
-        let mut a = net.endpoint("a");
+        let a = net.endpoint("a");
         let b = net.endpoint("b");
         let a_id = a.id();
         let epoch = a.begin_wait();
@@ -1598,50 +1396,63 @@ mod tests {
         net.schedule_wake(a_id, VirtualInstant::EPOCH + secs(0.001), epoch);
         b.send(a_id, Msg(1));
         b.retire();
-        match a.park_wait().unwrap() {
-            Parked::Msg(m) => assert_eq!(m.msg.unwrap(), Msg(1)),
+        let got = spawn(a, async |mut a| {
+            (a.park_wait().await.unwrap(), a.park_wait().await.unwrap())
+        });
+        run(&net);
+        match take(&got) {
+            (Parked::Msg(m), Parked::Doorbell) => assert_eq!(m.msg.unwrap(), Msg(1)),
             other => panic!("message must be reported before the bell, got {other:?}"),
         }
-        match a.park_wait().unwrap() {
-            Parked::Doorbell => {}
-            other => panic!("only one message was sent, got {other:?}"),
-        }
-        a.retire();
+    }
+
+    #[test]
+    fn doorbell_rung_by_a_peer_readies_the_parked_task() {
+        let net = virtual_net(LatencyModel::default());
+        let a = net.endpoint("a");
+        let b = net.endpoint("b");
+        let a_id = a.id();
+        let epoch = a.begin_wait();
+        let got = spawn(a, async |mut a| (a.park_wait().await.unwrap(), a.now()));
+        spawn(b, async move |b| {
+            b.sleep(secs(0.002)).await.unwrap();
+            let now = b.now();
+            b.network().schedule_wake(a_id, now, epoch);
+        });
+        run(&net);
+        let (parked, at) = take(&got);
+        assert!(matches!(parked, Parked::Doorbell));
+        assert_eq!(at, VirtualInstant::EPOCH + secs(0.002));
+        assert_eq!(net.sched_stats(), SchedStats { parks: 1, wakes: 1 });
     }
 
     #[test]
     fn three_party_broadcast_order_is_deterministic() {
-        // Run the same scenario twice; delivery times must be identical.
-        let run = || {
+        // Run the same scenario twice; delivery times and executor
+        // counters must be identical.
+        let run_once = || {
             let net = virtual_net(LatencyModel::UniformUpTo(secs(1.0)));
             let a = net.endpoint("a");
-            let mut b = net.endpoint("b");
-            let mut c = net.endpoint("c");
-            let (b_id, c_id) = (b.id(), c.id());
+            let b = net.endpoint("b");
+            let c = net.endpoint("c");
             for i in 0..10 {
-                a.send(b_id, Msg(i));
-                a.send(c_id, Msg(i));
+                a.send(b.id(), Msg(i));
+                a.send(c.id(), Msg(i));
             }
             a.retire();
-            let tb = thread::spawn(move || {
+            let collect = async |mut e: Endpoint<Msg>| {
                 let mut ts = Vec::new();
                 for _ in 0..10 {
-                    ts.push(b.recv().unwrap().delivered_at);
+                    ts.push(e.recv().await.unwrap().delivered_at);
                 }
-                b.retire();
                 ts
-            });
-            let tc = thread::spawn(move || {
-                let mut ts = Vec::new();
-                for _ in 0..10 {
-                    ts.push(c.recv().unwrap().delivered_at);
-                }
-                c.retire();
-                ts
-            });
-            (tb.join().unwrap(), tc.join().unwrap())
+            };
+            let tb = spawn(b, collect);
+            let tc = spawn(c, collect);
+            run(&net);
+            (take(&tb), take(&tc), net.sched_stats())
         };
-        assert_eq!(run(), run());
+        assert_eq!(run_once(), run_once());
     }
 
     #[test]
@@ -1651,32 +1462,28 @@ mod tests {
         let exchange = |arena: Option<NetArena<Msg>>| {
             let net = Network::new_reusing(
                 NetConfig {
-                    mode: ClockMode::Virtual,
                     latency: LatencyModel::UniformUpTo(secs(1.0)),
                     seed: 7,
-                    ack_timeout: None,
-                    faults: FaultPlan::new(),
-                    tap: None,
+                    ..NetConfig::default()
                 },
                 arena,
             );
             let a = net.endpoint("a");
-            let mut b = net.endpoint("b");
-            let b_id = b.id();
+            let b = net.endpoint("b");
             for i in 0..20 {
-                a.send(b_id, Msg(i));
+                a.send(b.id(), Msg(i));
             }
             a.retire();
-            let tb = thread::spawn(move || {
+            let ts = spawn(b, async |mut b| {
                 let mut ts = Vec::new();
                 for _ in 0..20 {
-                    ts.push(b.recv().unwrap().delivered_at);
+                    ts.push(b.recv().await.unwrap().delivered_at);
                 }
-                b.retire();
                 ts
             });
-            let ts = tb.join().unwrap();
-            (ts, net.reclaim().expect("sole owner after join"))
+            run(&net);
+            let ts = take(&ts);
+            (ts, net.reclaim().expect("sole owner after run"))
         };
         let (fresh, arena) = exchange(None);
         assert_eq!(arena.capacity(), 2, "both endpoints reclaimed");

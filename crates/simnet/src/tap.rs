@@ -8,10 +8,10 @@
 //! message counts for the paper's §3.3.3 complexity bounds; it is equally
 //! useful for ad-hoc wire diagnostics.
 //!
-//! Taps are invoked from sending threads after the network's internal lock
-//! is released: implementations must be `Send + Sync`, should be cheap, and
+//! Taps are invoked from the sending task after the network's state is
+//! released: implementations must be `Send + Sync`, should be cheap, and
 //! must not call back into the network. Events from different senders
-//! interleave in arbitrary wall-clock order; per-link `(src, dst, seq)` is
+//! interleave in the executor's poll order; per-link `(src, dst, seq)` is
 //! deterministic and totally ordered.
 
 use caa_core::ids::PartitionId;

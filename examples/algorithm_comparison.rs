@@ -30,7 +30,8 @@ fn run(n: u32, protocol: Arc<dyn ResolutionProtocol>) {
     }
     builder = builder.graph(graph);
     for i in 0..n {
-        builder = builder.fallback_handler(format!("r{i}"), |_| Ok(HandlerVerdict::Recovered));
+        builder =
+            builder.fallback_handler(format!("r{i}"), async |_| Ok(HandlerVerdict::Recovered));
     }
     let action = builder.build().expect("definition");
 
@@ -42,11 +43,12 @@ fn run(n: u32, protocol: Arc<dyn ResolutionProtocol>) {
         .build();
     for i in 0..n {
         let a = action.clone();
-        sys.spawn(format!("T{i}"), move |ctx| {
-            ctx.enter(&a, &format!("r{i}"), |rc| {
-                rc.work(secs(2.0))?;
+        sys.spawn(format!("T{i}"), async move |ctx| {
+            ctx.enter(&a, &format!("r{i}"), async |rc| {
+                rc.work(secs(2.0)).await?;
                 rc.raise(Exception::new(format!("e{i}")))
             })
+            .await
             .map(|_| ())
         });
     }

@@ -34,8 +34,10 @@ fn transfer_action(undoable: bool) -> (ActionDef, SharedObject<i64>, SharedObjec
         .role("credit", 1u32)
         .graph(graph)
         // The receiving side cannot recover: it requests undo.
-        .handler("credit", "compliance_hold", |_| Ok(HandlerVerdict::Undo))
-        .handler("debit", "compliance_hold", |_| {
+        .handler("credit", "compliance_hold", async |_| {
+            Ok(HandlerVerdict::Undo)
+        })
+        .handler("debit", "compliance_hold", async |_| {
             Ok(HandlerVerdict::Recovered)
         })
         .build()
@@ -49,22 +51,25 @@ fn run(undoable: bool) -> ActionOutcome {
     let (a, src) = (action.clone(), source.clone());
     let mut outcome_seen = ActionOutcome::Success;
     let (tx, rx) = std::sync::mpsc::channel();
-    sys.spawn("bank_a", move |ctx| {
-        let outcome = ctx.enter(&a, "debit", |rc| {
-            rc.update(&src, |b| *b -= 200)?;
-            rc.work(secs(5.0))
-        })?;
+    sys.spawn("bank_a", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "debit", async |rc| {
+                rc.update(&src, |b| *b -= 200).await?;
+                rc.work(secs(5.0)).await
+            })
+            .await?;
         tx.send(outcome).ok();
         Ok(())
     });
     let d = dest.clone();
-    sys.spawn("bank_b", move |ctx| {
-        ctx.enter(&action, "credit", |rc| {
-            rc.update(&d, |b| *b += 200)?;
-            rc.work(secs(0.5))?;
+    sys.spawn("bank_b", async move |ctx| {
+        ctx.enter(&action, "credit", async |rc| {
+            rc.update(&d, |b| *b += 200).await?;
+            rc.work(secs(0.5)).await?;
             // Compliance check fails after the credit was applied.
             rc.raise(Exception::new("compliance_hold"))
         })
+        .await
         .map(|_| ())
     });
     sys.run().expect_ok();

@@ -25,12 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .role("driver", 0u32)
         .role("monitor", 1u32)
         .graph(graph)
-        .handler("driver", "sensor_glitch", |hc| {
+        .handler("driver", "sensor_glitch", async |hc| {
             println!("  [driver ] handling {}", hc.handling().unwrap());
-            hc.work(secs(0.2))?; // re-zero the sensor
+            hc.work(secs(0.2)).await?; // re-zero the sensor
             Ok(HandlerVerdict::Recovered)
         })
-        .handler("monitor", "sensor_glitch", |hc| {
+        .handler("monitor", "sensor_glitch", async |hc| {
             println!("  [monitor] handling {}", hc.handling().unwrap());
             Ok(HandlerVerdict::Recovered)
         })
@@ -43,22 +43,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
 
     let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "driver", |rc| {
-            rc.work(secs(0.5))?;
-            println!("  [driver ] raising sensor_glitch");
-            rc.raise(Exception::new("sensor_glitch"))
-        })?;
+    sys.spawn("T0", async move |ctx| {
+        let outcome = ctx
+            .enter(&a, "driver", async |rc| {
+                rc.work(secs(0.5)).await?;
+                println!("  [driver ] raising sensor_glitch");
+                rc.raise(Exception::new("sensor_glitch"))
+            })
+            .await?;
         println!("  [driver ] action outcome: {outcome}");
         assert_eq!(outcome, ActionOutcome::Success);
         Ok(())
     });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "monitor", |rc| {
-            // Would run for 60 virtual seconds; the driver's exception
-            // interrupts it at the next poll point.
-            rc.work(secs(60.0))
-        })?;
+    sys.spawn("T1", async move |ctx| {
+        let outcome = ctx
+            .enter(&action, "monitor", async |rc| {
+                // Would run for 60 virtual seconds; the driver's exception
+                // interrupts it at the next poll point.
+                rc.work(secs(60.0)).await
+            })
+            .await?;
         println!("  [monitor] action outcome: {outcome}");
         Ok(())
     });

@@ -40,25 +40,29 @@
 //!     .role("left", 0u32)
 //!     .role("right", 1u32)
 //!     .graph(graph)
-//!     .handler("left", "both_sensors", |_| Ok(HandlerVerdict::Recovered))
-//!     .handler("right", "both_sensors", |_| Ok(HandlerVerdict::Recovered))
+//!     .handler("left", "both_sensors", async |_| Ok(HandlerVerdict::Recovered))
+//!     .handler("right", "both_sensors", async |_| Ok(HandlerVerdict::Recovered))
 //!     .build()?;
 //!
 //! let mut sys = System::builder().build();
 //! let a = action.clone();
-//! sys.spawn("T0", move |ctx| {
-//!     let outcome = ctx.enter(&a, "left", |rc| {
-//!         rc.work(secs(0.1))?;
-//!         rc.raise(Exception::new("sensor_a"))
-//!     })?;
+//! sys.spawn("T0", async move |ctx| {
+//!     let outcome = ctx
+//!         .enter(&a, "left", async |rc| {
+//!             rc.work(secs(0.1)).await?;
+//!             rc.raise(Exception::new("sensor_a"))
+//!         })
+//!         .await?;
 //!     assert_eq!(outcome, ActionOutcome::Success);
 //!     Ok(())
 //! });
-//! sys.spawn("T1", move |ctx| {
-//!     let outcome = ctx.enter(&action, "right", |rc| {
-//!         rc.work(secs(0.1))?;
-//!         rc.raise(Exception::new("sensor_b"))
-//!     })?;
+//! sys.spawn("T1", async move |ctx| {
+//!     let outcome = ctx
+//!         .enter(&action, "right", async |rc| {
+//!             rc.work(secs(0.1)).await?;
+//!             rc.raise(Exception::new("sensor_b"))
+//!         })
+//!         .await?;
 //!     assert_eq!(outcome, ActionOutcome::Success);
 //!     Ok(())
 //! });

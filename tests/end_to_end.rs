@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 use caa::baselines::{CrResolution, Rom96Resolution};
 use caa::core::exception::{Exception, ExceptionId};
-use caa::core::outcome::{ActionOutcome, HandlerVerdict};
+use caa::core::outcome::HandlerVerdict;
 use caa::core::time::secs;
 use caa::exgraph::generate::conjunction_lattice;
 use caa::exgraph::ExceptionGraphBuilder;
 use caa::prodcell::{CellFaultScripts, ControllerConfig, DeviceFault, FaultScript, ProductionCell};
 use caa::runtime::protocol::ResolutionProtocol;
 use caa::runtime::{ActionDef, System};
-use caa::simnet::{ClockMode, FaultPlan, FaultSpec, LatencyModel};
+use caa::simnet::{FaultPlan, FaultSpec, LatencyModel};
 
 /// The production cell keeps producing under every resolution protocol —
 /// the paper's claim that the protocol is a pluggable part of the CA-action
@@ -82,55 +82,6 @@ fn corrupted_network_message_raises_l_mes_in_the_cell() {
     assert!(cell.audit_committed().is_consistent());
 }
 
-/// The whole stack also runs in real time (no virtual clock): protocols do
-/// not depend on the simulated-time machinery.
-#[test]
-fn real_clock_smoke_test() {
-    let graph = ExceptionGraphBuilder::new()
-        .resolves("both", ["a", "b"])
-        .build()
-        .unwrap();
-    let action = ActionDef::builder("real_time")
-        .role("left", 0u32)
-        .role("right", 1u32)
-        .graph(graph)
-        .handler("left", "both", |_| Ok(HandlerVerdict::Recovered))
-        .handler("right", "both", |_| Ok(HandlerVerdict::Recovered))
-        .build()
-        .unwrap();
-    let mut sys = System::builder()
-        .clock(ClockMode::Real)
-        .latency(LatencyModel::Fixed(caa::core::time::millis(5)))
-        .build();
-    let wall = std::time::Instant::now();
-    let a = action.clone();
-    sys.spawn("T0", move |ctx| {
-        let outcome = ctx.enter(&a, "left", |rc| {
-            rc.work(caa::core::time::millis(20))?;
-            rc.raise(Exception::new("a"))
-        })?;
-        assert_eq!(outcome, ActionOutcome::Success);
-        Ok(())
-    });
-    sys.spawn("T1", move |ctx| {
-        let outcome = ctx.enter(&action, "right", |rc| {
-            rc.work(caa::core::time::millis(20))?;
-            rc.raise(Exception::new("b"))
-        })?;
-        assert_eq!(outcome, ActionOutcome::Success);
-        Ok(())
-    });
-    let report = sys.run();
-    report.expect_ok();
-    assert!(
-        wall.elapsed() >= std::time::Duration::from_millis(20),
-        "real mode consumes wall time"
-    );
-    assert_eq!(report.runtime_stats.resolutions_invoked, 1);
-}
-
-/// Determinism: the same virtual-time configuration produces the same
-/// elapsed time and message counts run after run.
 #[test]
 fn virtual_runs_are_reproducible() {
     let run = || {
@@ -142,7 +93,8 @@ fn virtual_runs_are_reproducible() {
         }
         builder = builder.graph(graph);
         for i in 0..4u32 {
-            builder = builder.fallback_handler(format!("r{i}"), |_| Ok(HandlerVerdict::Recovered));
+            builder =
+                builder.fallback_handler(format!("r{i}"), async |_| Ok(HandlerVerdict::Recovered));
         }
         let action = builder.build().unwrap();
         let mut sys = System::builder()
@@ -152,14 +104,15 @@ fn virtual_runs_are_reproducible() {
             .build();
         for i in 0..4u32 {
             let a = action.clone();
-            sys.spawn(format!("T{i}"), move |ctx| {
-                ctx.enter(&a, &format!("r{i}"), |rc| {
-                    rc.work(secs(0.5))?;
+            sys.spawn(format!("T{i}"), async move |ctx| {
+                ctx.enter(&a, &format!("r{i}"), async |rc| {
+                    rc.work(secs(0.5)).await?;
                     if i % 2 == 0 {
                         rc.raise(Exception::new(format!("e{i}")))?;
                     }
-                    rc.work(secs(10.0))
+                    rc.work(secs(10.0)).await
                 })
+                .await
                 .map(|_| ())
             });
         }
@@ -211,7 +164,7 @@ fn deep_nesting_abort_cascade() {
         .role("b", 1u32)
         .graph(graph);
     for role in ["a", "b"] {
-        outer = outer.fallback_handler(role, |_| Ok(HandlerVerdict::Recovered));
+        outer = outer.fallback_handler(role, async |_| Ok(HandlerVerdict::Recovered));
     }
     let outer = outer.build().unwrap();
 
@@ -220,7 +173,7 @@ fn deep_nesting_abort_cascade() {
         let o = Arc::clone(&order);
         let def = ActionDef::builder(format!("level{depth}"))
             .role("b", 1u32)
-            .abort_handler("b", move |_| {
+            .abort_handler("b", async move |_| {
                 o.lock().unwrap().push(depth);
                 Ok((depth == 1).then(|| Exception::new("AB1")))
             })
@@ -233,24 +186,29 @@ fn deep_nesting_abort_cascade() {
         .latency(LatencyModel::Fixed(secs(0.05)))
         .build();
     let o0 = outer.clone();
-    sys.spawn("T0", move |ctx| {
-        ctx.enter(&o0, "a", |rc| {
-            rc.work(secs(1.0))?;
+    sys.spawn("T0", async move |ctx| {
+        ctx.enter(&o0, "a", async |rc| {
+            rc.work(secs(1.0)).await?;
             rc.raise(Exception::new("TOP"))
         })
+        .await
         .map(|_| ())
     });
-    sys.spawn("T1", move |ctx| {
-        ctx.enter(&outer, "b", |rc| {
-            rc.enter(&defs[0], "b", |c1| {
-                c1.enter(&defs[1], "b", |c2| {
-                    c2.enter(&defs[2], "b", |c3| c3.work(secs(120.0)))?;
+    sys.spawn("T1", async move |ctx| {
+        ctx.enter(&outer, "b", async |rc| {
+            rc.enter(&defs[0], "b", async |c1| {
+                c1.enter(&defs[1], "b", async |c2| {
+                    c2.enter(&defs[2], "b", async |c3| c3.work(secs(120.0)).await)
+                        .await?;
                     Ok(())
-                })?;
+                })
+                .await?;
                 Ok(())
-            })?;
+            })
+            .await?;
             Ok(())
         })
+        .await
         .map(|_| ())
     });
     let report = sys.run();
