@@ -2,12 +2,21 @@
 //! comparison.
 //!
 //! Prints one line per seed: the seed, whether the generated plan contains
-//! a crash-stop participant (`crashfree` / `crash`), and the FNV-1a hash of
-//! the canonical rendered trace. Protocol refactors that must keep
-//! crash-free behaviour byte-identical run this tool before and after the
-//! change and diff the `crashfree` lines (crash seeds are allowed to move
-//! when the crash model itself changes). A trailing section hashes
-//! production-cell runs the same way.
+//! a crash-stop participant (`crashfree` / `crash`), the FNV-1a hash of
+//! the canonical rendered trace, and a second FNV-1a hash over everything
+//! the harness *derives* from that trace. Protocol refactors that must
+//! keep crash-free behaviour byte-identical run this tool before and after
+//! the change and diff the `crashfree` lines (crash seeds are allowed to
+//! move when the crash model itself changes); refactors of the derivation
+//! layer diff both columns. A trailing section hashes production-cell runs
+//! the same way.
+//!
+//! The derivation hash folds, in order: the rendered oracle violations
+//! (`check_run` for seeds, the run's `check_invariants` verdicts for the
+//! production cell), the [`PathCoverage`] counters, the seed's
+//! deterministic `metrics.json` sections from a fresh
+//! [`MetricsRecorder`] (seeds only), and the Perfetto export
+//! ([`trace_event_json`]: span tree, message edges and critical paths).
 //!
 //! Fingerprints are computed by streaming
 //! ([`Trace::render_fingerprint`](caa_harness::trace::Trace::render_fingerprint)):
@@ -32,9 +41,47 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use caa_harness::arena::ExecutionArena;
-use caa_harness::exec::execute_in;
+use caa_harness::exec::{execute_in, RunArtifacts};
+use caa_harness::metrics::{metrics_json, MetricsRecorder};
+use caa_harness::oracle::{check_run, Violation};
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
-use caa_harness::sweep::Shard;
+use caa_harness::spans::trace_event_json;
+use caa_harness::sweep::{PathCoverage, Shard};
+use caa_harness::trace::{fnv1a64, fnv1a64_fold, Trace};
+
+/// FNV-1a over what the harness derives from one trace: the rendered
+/// violations, the coverage counters, the deterministic metrics document
+/// (plan-driven runs only) and the Perfetto export.
+fn derivation_hash(
+    violations: &[Violation],
+    metrics: Option<&str>,
+    trace: &Trace,
+    seed: u64,
+) -> u64 {
+    let mut hash = fnv1a64(b"");
+    for violation in violations {
+        hash = fnv1a64_fold(hash, format!("{violation}\n").as_bytes());
+    }
+    hash = fnv1a64_fold(hash, PathCoverage::from_trace(trace).summary().as_bytes());
+    if let Some(metrics) = metrics {
+        hash = fnv1a64_fold(hash, metrics.as_bytes());
+    }
+    fnv1a64_fold(hash, trace_event_json(trace, seed).as_bytes())
+}
+
+/// [`derivation_hash`] of a plan-driven run, its metrics taken from a
+/// fresh [`MetricsRecorder`].
+fn seed_derivation_hash(artifacts: &RunArtifacts) -> u64 {
+    let mut recorder = MetricsRecorder::default();
+    recorder.record_run(artifacts);
+    let metrics = metrics_json(&recorder.take_metrics(), 1, false);
+    derivation_hash(
+        &check_run(artifacts),
+        Some(&metrics),
+        &artifacts.trace,
+        artifacts.plan.seed,
+    )
+}
 
 fn main() {
     let mut seeds: u64 = 12_000;
@@ -96,11 +143,12 @@ fn main() {
                     };
                     let artifacts = execute_in(&plan, &mut arena);
                     let hash = artifacts.trace.render_fingerprint();
+                    let derived = seed_derivation_hash(&artifacts);
                     arena.recycle_trace(artifacts.trace);
-                    lines
-                        .lock()
-                        .expect("collector")
-                        .push((seed, format!("seed {seed} {tag} {hash:016x}")));
+                    lines.lock().expect("collector").push((
+                        seed,
+                        format!("seed {seed} {tag} {hash:016x} {derived:016x}"),
+                    ));
                 }
             });
         }
@@ -113,7 +161,11 @@ fn main() {
     if shard.is_none_or(|s| s.index == 0) {
         for seed in 0..prodcell {
             let run = caa_harness::prodcell::run_seed(seed, 2, false);
-            println!("prodcell {seed} {:016x}", run.trace.render_fingerprint());
+            println!(
+                "prodcell {seed} {:016x} {:016x}",
+                run.trace.render_fingerprint(),
+                derivation_hash(&run.violations, None, &run.trace, seed),
+            );
         }
     }
 }
