@@ -6,15 +6,15 @@
 //! Three forms:
 //!
 //! ```text
-//! # Regenerate the seed under the default ScenarioConfig. `--bisect`
-//! # additionally shrinks a violating seed's fault/crash schedule to a
-//! # minimal still-violating subset; `--bisect-workload` shrinks the
-//! # whole plan (top actions, phases, raises, participants) to a
-//! # 1-minimal scenario. Both persist to the corpus dir. `--spans-out`
+//! # Regenerate the seed under the default ScenarioConfig.
+//! # `--bisect-workload` shrinks a violating plan — chaos schedule
+//! # (crashes, fault rules) first, then top actions, phases, raises and
+//! # participants — to a 1-minimal still-violating scenario and persists
+//! # it to the corpus dir as `<seed>-workload`. `--spans-out`
 //! # additionally exports the run's derived span timeline as Chrome
 //! # trace-event JSON (spans, causal-message flow arrows, critical-path
 //! # lanes) — open it at https://ui.perfetto.dev:
-//! cargo run -p caa-harness --example replay -- 42 [--bisect] [--bisect-workload] \
+//! cargo run -p caa-harness --example replay -- 42 [--bisect-workload] \
 //!     [--spans-out trace.json]
 //!
 //! # Replay a persisted corpus entry (the sweep's exact — possibly
@@ -38,27 +38,18 @@ use std::path::Path;
 use std::process::exit;
 
 use caa_harness::arena::ExecutionArena;
-use caa_harness::bisect::{
-    bisect_schedule, bisect_workload, plan_violates, write_corpus_entry, write_workload_entry,
-};
+use caa_harness::bisect::{bisect_workload, plan_violates, write_workload_entry};
 use caa_harness::fuzz::load_corpus_plan;
 use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::spans::trace_event_json;
 use caa_harness::sweep::{run_plan_checked, sweep, Shard, SweepConfig};
-
-/// Which minimisations to run on a violating plan.
-#[derive(Clone, Copy, Default)]
-struct BisectFlags {
-    schedule: bool,
-    workload: bool,
-}
 
 fn replay_plan(
     plan: &ScenarioPlan,
     config: &ScenarioConfig,
     lineage: Option<&str>,
     recorded_trace: Option<&str>,
-    bisect: BisectFlags,
+    bisect: bool,
     spans_out: Option<&str>,
 ) -> bool {
     let seed = plan.seed;
@@ -87,8 +78,8 @@ fn replay_plan(
     }
     if result.passed() {
         println!("seed {seed}: every oracle passed");
-        if bisect.schedule || bisect.workload {
-            println!("--bisect: nothing to bisect (no oracle violation)");
+        if bisect {
+            println!("--bisect-workload: nothing to bisect (no oracle violation)");
         }
     } else {
         println!("seed {seed}: {} violation(s)", result.violations.len());
@@ -96,51 +87,11 @@ fn replay_plan(
             println!("  - {v}");
         }
         ok = false;
-        if bisect.schedule {
-            run_bisection(plan);
-        }
-        if bisect.workload {
+        if bisect {
             run_workload_bisection(plan, config, lineage);
         }
     }
     ok
-}
-
-/// Shrinks the violating seed's fault/crash schedule to a minimal
-/// still-violating subset and persists it next to the seed's corpus
-/// entry.
-fn run_bisection(plan: &ScenarioPlan) {
-    let mut arena = ExecutionArena::new();
-    let full = plan.faults.len() + plan.crashes.len();
-    match bisect_schedule(plan, |candidate| plan_violates(candidate, &mut arena)) {
-        None => println!(
-            "--bisect: the violation does not reproduce deterministically \
-             under the run oracles; nothing minimised"
-        ),
-        Some(outcome) => {
-            println!(
-                "--bisect: schedule minimised from {} to {} element(s) in {} execution(s)",
-                full,
-                outcome.schedule.len(),
-                outcome.attempts,
-            );
-            for (i, fault) in outcome.plan.faults.iter().enumerate() {
-                println!("  kept fault {i}: {fault:?}");
-            }
-            if outcome.plan.crashes.is_empty() {
-                println!("  crash dropped (or none scheduled)");
-            } else {
-                for (i, c) in outcome.plan.crashes.iter().enumerate() {
-                    println!("  kept crash {i}: {c:?}");
-                }
-            }
-            let dir = Path::new("target/caa-corpus");
-            match write_corpus_entry(dir, &outcome) {
-                Ok(entry) => println!("  minimised schedule written to {}", entry.display()),
-                Err(e) => eprintln!("  could not persist bisection: {e}"),
-            }
-        }
-    }
 }
 
 /// Shrinks the whole violating plan (workload structure and chaos
@@ -195,7 +146,7 @@ fn run_workload_bisection(plan: &ScenarioPlan, config: &ScenarioConfig, lineage:
     }
 }
 
-fn replay_corpus(entry: &Path, bisect: BisectFlags, spans_out: Option<&str>) -> bool {
+fn replay_corpus(entry: &Path, bisect: bool, spans_out: Option<&str>) -> bool {
     // `load_corpus_plan` understands both entry layouts: plain sweep
     // entries (`<seed>[-<config hash>]`, plan regenerated from the seed)
     // and fuzz entries (a `lineage.txt` whose recorded mutation seeds
@@ -304,30 +255,23 @@ fn main() {
         Some("--corpus") => {
             let entry = args.get(1).unwrap_or_else(|| {
                 eprintln!(
-                    "usage: replay -- --corpus <dir>/<seed> [--bisect] [--bisect-workload] \
-                     [--spans-out PATH]"
+                    "usage: replay -- --corpus <dir>/<seed> [--bisect-workload] [--spans-out PATH]"
                 );
                 exit(2);
             });
-            let bisect = BisectFlags {
-                schedule: args.iter().any(|a| a == "--bisect"),
-                workload: args.iter().any(|a| a == "--bisect-workload"),
-            };
+            let bisect = args.iter().any(|a| a == "--bisect-workload");
             replay_corpus(Path::new(entry), bisect, flag_value(&args, "--spans-out"))
         }
         Some("--sweep") => run_sweep(&args),
         Some(seed) => {
             let seed: u64 = seed.parse().unwrap_or_else(|_| {
                 eprintln!(
-                    "usage: replay -- <seed> [--bisect] [--bisect-workload] [--spans-out PATH] \
+                    "usage: replay -- <seed> [--bisect-workload] [--spans-out PATH] \
                      | --corpus <dir>/<seed> | --sweep <seeds>"
                 );
                 exit(2);
             });
-            let bisect = BisectFlags {
-                schedule: args.iter().any(|a| a == "--bisect"),
-                workload: args.iter().any(|a| a == "--bisect-workload"),
-            };
+            let bisect = args.iter().any(|a| a == "--bisect-workload");
             let config = ScenarioConfig::default();
             let plan = ScenarioPlan::generate(seed, &config);
             replay_plan(
@@ -344,7 +288,7 @@ fn main() {
             &ScenarioConfig::default(),
             None,
             None,
-            BisectFlags::default(),
+            false,
             None,
         ),
     };

@@ -12,9 +12,10 @@
 //!   [`System::run_reclaiming`](caa_runtime::System::run_reclaiming) and
 //!   fed back through
 //!   [`SystemBuilder::net_arena`](caa_runtime::SystemBuilder::net_arena);
-//! * **trace buffers**: entry vectors handed back by
-//!   [`ExecutionArena::recycle_trace`] once a seed's trace has been
-//!   checked, so steady-state recording allocates nothing;
+//! * **trace buffers**: entry vectors and their
+//!   [`InstanceIndex`](crate::index::InstanceIndex) buffers, handed back
+//!   by [`ExecutionArena::recycle_trace`] once a seed's trace has been
+//!   checked, so steady-state recording and indexing allocate nothing;
 //! * the **graph cache**: conjunction lattices are pure functions of an
 //!   action's declared exceptions, and scenario generation draws those
 //!   from a small space — the cache turns per-seed lattice construction
@@ -36,7 +37,7 @@ use caa_exgraph::ExceptionGraph;
 use caa_simnet::NetArena;
 
 use crate::metrics::{MetricsRecorder, SweepMetrics};
-use crate::trace::{Entry, Trace, TraceRecorder};
+use crate::trace::{Trace, TraceRecorder};
 
 /// How many recycled trace buffers an arena keeps. An execution uses one
 /// buffer; a replay-checked seed uses two in flight. Anything beyond that
@@ -65,7 +66,7 @@ const MAX_TRACE_BUFS: usize = 2;
 #[derive(Default)]
 pub struct ExecutionArena {
     net: Option<NetArena<Message>>,
-    trace_bufs: Vec<Vec<Entry>>,
+    trace_bufs: Vec<Trace>,
     /// High-water entry count, used to pre-size a fresh buffer when no
     /// recycled one is available.
     trace_capacity: usize,
@@ -98,25 +99,14 @@ impl ExecutionArena {
         ExecutionArena::default()
     }
 
-    /// An empty arena whose first trace buffer is pre-sized to `entries`
-    /// (the legacy `execute_with_capacity` hint).
-    #[must_use]
-    pub fn with_trace_capacity(entries: usize) -> ExecutionArena {
-        ExecutionArena {
-            trace_capacity: entries,
-            ..ExecutionArena::default()
-        }
-    }
-
     /// Hands a finished trace's entry buffer back for the next execution.
     /// Call it once a seed's trace has been checked and is no longer
     /// needed; traces kept alive (violating seeds, golden comparisons)
     /// simply are not recycled.
     pub fn recycle_trace(&mut self, trace: Trace) {
-        let entries = trace.into_entries();
-        self.trace_capacity = self.trace_capacity.max(entries.len());
+        self.trace_capacity = self.trace_capacity.max(trace.len());
         if self.trace_bufs.len() < MAX_TRACE_BUFS {
-            self.trace_bufs.push(entries);
+            self.trace_bufs.push(trace);
         }
     }
 
@@ -124,7 +114,7 @@ impl ExecutionArena {
     /// else a fresh one sized to the high-water mark.
     pub(crate) fn recorder(&mut self) -> Arc<TraceRecorder> {
         match self.trace_bufs.pop() {
-            Some(buf) => TraceRecorder::with_buffer(buf),
+            Some(trace) => TraceRecorder::recycling(trace),
             None => TraceRecorder::with_capacity(self.trace_capacity),
         }
     }

@@ -306,17 +306,7 @@ fn body_phases<'a>(
 /// [`Trace::render`] output on every execution.
 #[must_use]
 pub fn execute(plan: &ScenarioPlan) -> RunArtifacts {
-    execute_with_capacity(plan, 0)
-}
-
-/// [`execute`] with a trace-buffer preallocation hint (in entries) —
-/// kept for callers without a long-lived arena. The hint has no
-/// observable effect on the run: traces stay byte-identical whatever its
-/// value.
-#[must_use]
-pub fn execute_with_capacity(plan: &ScenarioPlan, trace_capacity: usize) -> RunArtifacts {
-    let mut arena = ExecutionArena::with_trace_capacity(trace_capacity);
-    execute_in(plan, &mut arena)
+    execute_in(plan, &mut ExecutionArena::new())
 }
 
 /// [`execute`] through a per-worker [`ExecutionArena`]: network storage,

@@ -25,6 +25,9 @@
 //! * [`trace`] — the structured event log captured through
 //!   [`caa_runtime::observe`] and [`caa_simnet::NetTap`] hooks, with a
 //!   canonical byte-stable rendering (object acquisitions included);
+//! * [`index`] — the one interpretation of a trace: per-instance facts
+//!   collected in a single pass, read by the oracles, metrics, critical
+//!   paths, coverage and spans;
 //! * [`oracle`] — resolution agreement, single-resolution, the Lemma 1
 //!   completion bound, §3.3.3 message complexity, nesting/abortion/crash
 //!   consistency, the exit-timeout liveness bound and byte-exact replay;
@@ -68,6 +71,7 @@ pub mod arena;
 pub mod bisect;
 pub mod exec;
 pub mod fuzz;
+pub mod index;
 pub mod metrics;
 pub mod oracle;
 pub mod plan;
@@ -78,15 +82,15 @@ pub mod sweep;
 pub mod trace;
 
 pub use arena::ExecutionArena;
-pub use exec::{execute, execute_in, execute_with_capacity, RunArtifacts};
+pub use exec::{execute, execute_in, RunArtifacts};
 pub use fuzz::{
     fuzz, load_corpus_plan, mutate_plan, CoverageDoc, FuzzConfig, FuzzReport, Lineage,
     COVERAGE_SCHEMA,
 };
-pub use oracle::{check_invariants, check_replay, check_replay_protocol, check_run, Violation};
+pub use oracle::{check_invariants, check_replay, check_run, Violation};
 pub use plan::{validate_plan, ScenarioConfig, ScenarioPlan};
 pub use sweep::{
-    merge_signatures, run_plan_checked, run_seed, run_seed_in, run_seed_with_capacity, sweep,
-    PathCoverage, SeedResult, Shard, SignatureMap, SweepConfig, SweepReport,
+    merge_signatures, run_plan_checked, run_seed, run_seed_in, sweep, PathCoverage, SeedResult,
+    Shard, SignatureMap, SweepConfig, SweepReport,
 };
 pub use trace::{Trace, TraceRecorder};

@@ -21,7 +21,6 @@
 //!   (The park/wake counts are deterministic themselves; they stay in this
 //!   set because they measure the executor, not the protocol.)
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
@@ -310,12 +309,12 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Pre-registered histogram handles plus reusable correlation scratch: the
-/// per-worker metrics recorder stored in
+/// Pre-registered histogram handles plus reusable critical-path scratch:
+/// the per-worker metrics recorder stored in
 /// [`ExecutionArena`](crate::arena::ExecutionArena). Registration happens
-/// once at construction; recording a run is pure handle indexing over
-/// warmed scratch maps, so steady-state sweeps add no allocations to the
-/// pinned per-seed budget.
+/// once at construction; recording a run is pure handle indexing over the
+/// trace's index, so steady-state sweeps add no allocations to the pinned
+/// per-seed budget.
 #[derive(Debug)]
 pub struct MetricsRecorder {
     metrics: SweepMetrics,
@@ -329,16 +328,6 @@ pub struct MetricsRecorder {
     rejoin_restart: HistogramHandle,
     rejoin_catchup: HistogramHandle,
     run_virtual: HistogramHandle,
-    // Per-run correlation scratch, cleared (capacity kept) between runs.
-    first_raise: HashMap<u64, u64>,
-    first_resolved: HashMap<u64, u64>,
-    resolved_rounds: HashMap<(u64, u32), u64>,
-    rounds_max: HashMap<u64, u64>,
-    exit_open: HashMap<(u64, u32), u64>,
-    rejoin_open: HashMap<(u64, u32), u64>,
-    fanout: HashMap<u64, u64>,
-    crashes: Vec<(u32, u64)>,
-    detected: HashSet<(u32, u32)>,
     cp_scratch: CriticalPathScratch,
 }
 
@@ -401,15 +390,6 @@ impl MetricsRecorder {
             rejoin_restart,
             rejoin_catchup,
             run_virtual,
-            first_raise: HashMap::new(),
-            first_resolved: HashMap::new(),
-            resolved_rounds: HashMap::new(),
-            rounds_max: HashMap::new(),
-            exit_open: HashMap::new(),
-            rejoin_open: HashMap::new(),
-            fanout: HashMap::new(),
-            crashes: Vec::new(),
-            detected: HashSet::new(),
             cp_scratch: CriticalPathScratch::new(),
         }
     }
@@ -435,136 +415,66 @@ impl MetricsRecorder {
         std::mem::replace(&mut self.metrics, registered_metrics())
     }
 
-    /// Extracts one run's metrics from its artifacts: a single pass over
-    /// the canonical trace plus the report's counters. Purely a read —
-    /// the artifacts (and their rendered bytes) are untouched.
+    /// Extracts one run's metrics from its artifacts: a fold over the
+    /// trace's [`InstanceIndex`](crate::index::InstanceIndex) plus the
+    /// report's counters. Purely a read — the artifacts (and their
+    /// rendered bytes) are untouched.
     pub fn record_run(&mut self, artifacts: &RunArtifacts) {
-        self.first_raise.clear();
-        self.first_resolved.clear();
-        self.resolved_rounds.clear();
-        self.rounds_max.clear();
-        self.exit_open.clear();
-        self.rejoin_open.clear();
-        self.fanout.clear();
-        self.crashes.clear();
-        self.detected.clear();
-
-        for entry in artifacts.trace.entries() {
-            match &entry.kind {
-                EntryKind::Runtime(event) => {
-                    let serial = event.action.serial();
-                    let thread = event.thread.as_u32();
-                    let at = entry.at_ns;
-                    match &event.kind {
-                        EventKind::Raise { .. } => {
-                            self.first_raise.entry(serial).or_insert(at);
-                        }
-                        EventKind::Resolved { .. } => {
-                            self.first_resolved.entry(serial).or_insert(at);
-                            *self.resolved_rounds.entry((serial, thread)).or_insert(0) += 1;
-                        }
-                        EventKind::ExitStart { .. } => {
-                            self.exit_open.insert((serial, thread), at);
-                        }
-                        EventKind::Exit { .. } => {
-                            if let Some(start) = self.exit_open.remove(&(serial, thread)) {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.exit_round, at.saturating_sub(start));
-                            }
-                            if let Some(readmitted) = self.rejoin_open.remove(&(serial, thread)) {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.rejoin_catchup, at.saturating_sub(readmitted));
-                            }
-                        }
-                        EventKind::ObjectAcquired { waited_ns, .. } => {
-                            self.metrics
-                                .deterministic
-                                .record(self.object_wait, *waited_ns);
-                        }
-                        EventKind::Crash => {
-                            self.crashes.push((thread, at));
-                        }
-                        // Only the joiner's own Rejoin event opens the
-                        // catch-up window; survivor-side adoptions of the
-                        // same readmission are echoes of one handshake.
-                        EventKind::Rejoin {
-                            thread: rejoiner, ..
-                        } if rejoiner.as_u32() == thread => {
-                            self.rejoin_open.insert((serial, thread), at);
-                            if let Some(&(_, crash_at)) = self
-                                .crashes
-                                .iter()
-                                .rev()
-                                .find(|&&(crashed, _)| crashed == thread)
-                            {
-                                self.metrics
-                                    .deterministic
-                                    .record(self.rejoin_restart, at.saturating_sub(crash_at));
-                            }
-                        }
-                        EventKind::ResolutionTimeout { .. } => {
-                            self.metrics
-                                .deterministic
-                                .add_named("suspicion_resolution", 1);
-                        }
-                        EventKind::SignalTimeout { .. } => {
-                            self.metrics
-                                .deterministic
-                                .add_named("suspicion_signalling", 1);
-                        }
-                        EventKind::ExitTimeout { .. } => {
-                            self.metrics.deterministic.add_named("suspicion_exit", 1);
-                        }
-                        EventKind::ViewChange { removed, .. } => {
-                            for &(crashed, crash_at) in &self.crashes {
-                                if removed.iter().any(|t| t.as_u32() == crashed)
-                                    && self.detected.insert((crashed, thread))
-                                {
-                                    self.metrics
-                                        .deterministic
-                                        .record(self.crash_detect, at.saturating_sub(crash_at));
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                EntryKind::NetSent(tap) if tap.class == "toBeSignalled" => {
-                    *self.fanout.entry(tap.correlation).or_insert(0) += 1;
-                }
-                _ => {}
-            }
-        }
-
-        // Fold the per-run correlation maps into the histograms. Map
-        // iteration order is arbitrary, which is fine: histogram recording
-        // is commutative, and the serialized form is order-independent.
+        let (entries, index) = (artifacts.trace.entries(), artifacts.trace.index());
+        let at = |i: u32| entries[i as usize].at_ns;
         let crashed_plan = !artifacts.plan.crashes.is_empty();
         let latency_hist = if crashed_plan {
             self.resolution_crash
         } else {
             self.resolution_crashfree
         };
-        for (&serial, &resolved_at) in &self.first_resolved {
-            if let Some(&raised_at) = self.first_raise.get(&serial) {
-                self.metrics
-                    .deterministic
-                    .record(latency_hist, resolved_at.saturating_sub(raised_at));
+        let det = &mut self.metrics.deterministic;
+        for instance in index.instances() {
+            if let (Some(raised), Some(resolved)) = (instance.first_raise, instance.first_resolved)
+            {
+                det.record(latency_hist, at(resolved).saturating_sub(at(raised)));
+            }
+            let rounds = instance
+                .threads
+                .iter()
+                .map(|t| t.resolved)
+                .max()
+                .unwrap_or(0);
+            if rounds > 0 {
+                det.record(self.resolution_rounds, rounds as u64);
+            }
+            for &ns in &instance.exit_rounds {
+                det.record(self.exit_round, ns);
+            }
+            for &ns in &instance.rejoin_catchups {
+                det.record(self.rejoin_catchup, ns);
+            }
+            if instance.signal_sends > 0 {
+                det.record(self.signal_fanout, instance.signal_sends);
             }
         }
-        for (&(serial, _), &rounds) in &self.resolved_rounds {
-            let max = self.rounds_max.entry(serial).or_insert(0);
-            *max = (*max).max(rounds);
+        for &i in &index.acquisitions {
+            if let EntryKind::Runtime(event) = &entries[i as usize].kind {
+                if let EventKind::ObjectAcquired { waited_ns, .. } = &event.kind {
+                    det.record(self.object_wait, *waited_ns);
+                }
+            }
         }
-        for &rounds in self.rounds_max.values() {
-            self.metrics
-                .deterministic
-                .record(self.resolution_rounds, rounds);
+        for &(crash, view_change) in &index.observer_detections {
+            det.record(self.crash_detect, at(view_change).saturating_sub(at(crash)));
         }
-        for &n in self.fanout.values() {
-            self.metrics.deterministic.record(self.signal_fanout, n);
+        for &(crash, rejoin) in &index.rejoin_restarts {
+            det.record(self.rejoin_restart, at(rejoin).saturating_sub(at(crash)));
+        }
+        let counts = index.counts;
+        for (name, n) in [
+            ("suspicion_resolution", counts.resolution_timeouts),
+            ("suspicion_signalling", counts.signal_timeouts),
+            ("suspicion_exit", counts.exit_timeouts),
+        ] {
+            if n > 0 {
+                det.add_named(name, n);
+            }
         }
         self.metrics
             .deterministic

@@ -50,11 +50,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use caa_runtime::observe::EventKind;
-
 use caa_runtime::SystemReport;
 
 use crate::exec::RunArtifacts;
+use crate::index::{InstanceIndex, ViewDelta};
 use crate::plan::ScenarioPlan;
 use crate::trace::Trace;
 
@@ -275,127 +274,6 @@ pub fn lemma1_bound(plan: &ScenarioPlan) -> f64 {
         + 1e-6
 }
 
-#[derive(Default)]
-struct PerThread {
-    enters: usize,
-    exits: usize,
-    /// Exits whose outcome was `Failed` — an evicted thread finalises so,
-    /// which legitimately closes a recovery without a resolution.
-    failed_exits: usize,
-    aborts: usize,
-    crashes: usize,
-    recovery_starts: usize,
-    resolved: usize,
-}
-
-/// One membership step a thread observed, in trace order.
-enum ViewDelta {
-    /// A view change removed these members.
-    Remove(Vec<u32>),
-    /// A rejoin grant readmitted this member.
-    Readmit(u32),
-}
-
-#[derive(Default)]
-struct InstanceView {
-    name: Option<std::sync::Arc<str>>,
-    /// The instance's nesting depth (0 = top level), from its action id.
-    depth: u32,
-    resolved: Vec<(u32, String)>,
-    invocations: u64,
-    first_raise_ns: Option<u64>,
-    last_handler_end_ns: Option<u64>,
-    resolution_msgs: u64,
-    per_thread: BTreeMap<u32, PerThread>,
-    /// Membership steps per observing thread, in trace order.
-    view_deltas: Vec<(u32, ViewDelta)>,
-    /// Completed exit phases: `(thread, duration_ns)` from an `ExitStart`
-    /// to the thread's next protocol step for the instance (exit, abort,
-    /// timeout or recovery trigger) — the window the exit-timeout oracle
-    /// bounds.
-    exit_phases: Vec<(u32, u64)>,
-}
-
-/// One per-instance pass over the trace's runtime and network events.
-fn collect_views(trace: &Trace) -> BTreeMap<u64, InstanceView> {
-    let mut instances: BTreeMap<u64, InstanceView> = BTreeMap::new();
-    // Open exit phases per (instance serial, thread): start instant.
-    let mut open_exits: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-    for event in trace.runtime_events() {
-        let serial = event.action.serial();
-        let view = instances.entry(serial).or_default();
-        view.depth = event.action.depth();
-        let thread = event.thread.as_u32();
-        // Any later step of the same thread on the same instance closes an
-        // open exit phase (exits wait on votes only; nothing else is
-        // observed in between).
-        if let Some(start) = open_exits.remove(&(serial, thread)) {
-            view.exit_phases
-                .push((thread, event.at.as_nanos().saturating_sub(start)));
-        }
-        match &event.kind {
-            EventKind::Enter { name, .. } => {
-                view.name = Some(name.clone());
-                view.per_thread.entry(thread).or_default().enters += 1;
-            }
-            EventKind::Exit { outcome } => {
-                let counts = view.per_thread.entry(thread).or_default();
-                counts.exits += 1;
-                if matches!(outcome, caa_core::outcome::ActionOutcome::Failed) {
-                    counts.failed_exits += 1;
-                }
-            }
-            EventKind::Abort { .. } => {
-                view.per_thread.entry(thread).or_default().aborts += 1;
-            }
-            EventKind::Crash => {
-                view.per_thread.entry(thread).or_default().crashes += 1;
-            }
-            EventKind::ExitStart { .. } => {
-                open_exits.insert((serial, thread), event.at.as_nanos());
-            }
-            EventKind::Raise { .. } => {
-                let at = event.at.as_nanos();
-                view.first_raise_ns = Some(view.first_raise_ns.map_or(at, |v| v.min(at)));
-            }
-            EventKind::RecoveryStart { .. } => {
-                view.per_thread.entry(thread).or_default().recovery_starts += 1;
-            }
-            EventKind::Resolved { exception } => {
-                view.resolved.push((thread, exception.name().to_owned()));
-                view.per_thread.entry(thread).or_default().resolved += 1;
-            }
-            EventKind::ViewChange { removed, .. } => {
-                view.view_deltas.push((
-                    thread,
-                    ViewDelta::Remove(removed.iter().map(|t| t.as_u32()).collect()),
-                ));
-            }
-            EventKind::Rejoin { thread: joiner, .. } => {
-                view.view_deltas
-                    .push((thread, ViewDelta::Readmit(joiner.as_u32())));
-            }
-            EventKind::ResolutionInvoked { invocations } => {
-                view.invocations += u64::from(*invocations);
-            }
-            EventKind::HandlerEnd { .. } => {
-                let at = event.at.as_nanos();
-                view.last_handler_end_ns = Some(view.last_handler_end_ns.map_or(at, |v| v.max(at)));
-            }
-            _ => {}
-        }
-    }
-    for send in trace.net_sends() {
-        if matches!(send.class, "Exception" | "Suspended" | "Commit") {
-            instances
-                .entry(send.correlation)
-                .or_default()
-                .resolution_msgs += 1;
-        }
-    }
-    instances
-}
-
 /// Checks the plan-independent protocol invariants — thread success,
 /// resolution agreement, single resolution per instance and
 /// nesting/abortion consistency — on any recorded run. Violation `action`
@@ -406,16 +284,10 @@ fn collect_views(trace: &Trace) -> BTreeMap<u64, InstanceView> {
 /// built systems (e.g. the production cell) use this directly.
 #[must_use]
 pub fn check_invariants(report: &SystemReport, trace: &Trace) -> Vec<Violation> {
-    let labels = trace.canonical_labels();
-    let views = collect_views(trace);
-    invariant_violations(report, &views, &labels)
+    invariant_violations(report, trace.index())
 }
 
-fn invariant_violations(
-    report: &SystemReport,
-    views: &BTreeMap<u64, InstanceView>,
-    labels: &std::collections::HashMap<u64, usize>,
-) -> Vec<Violation> {
+fn invariant_violations(report: &SystemReport, index: &InstanceIndex) -> Vec<Violation> {
     let mut violations = Vec::new();
     for (name, result) in &report.results {
         if let Err(e) = result {
@@ -430,14 +302,18 @@ fn invariant_violations(
             });
         }
     }
-    for (&serial, view) in views {
-        let action = labels.get(&serial).copied().unwrap_or(usize::MAX) as u64;
+    for (label, view) in index.by_serial() {
+        let action = u64::from(label);
 
         // Resolution agreement (§3.3.2).
         if view.resolved.windows(2).any(|w| w[0].1 != w[1].1) {
             violations.push(Violation::ResolutionDisagreement {
                 action,
-                resolved: view.resolved.clone(),
+                resolved: view
+                    .resolved
+                    .iter()
+                    .map(|(thread, exception)| (*thread, exception.name().to_owned()))
+                    .collect(),
             });
         }
 
@@ -455,7 +331,8 @@ fn invariant_violations(
         // except that a crashed-then-readmitted participant enters twice
         // (the crash closes the first entry, its exit closes the
         // re-entry), never more.
-        for (&thread, counts) in &view.per_thread {
+        for counts in view.threads.iter().filter(|t| t.participated()) {
+            let thread = counts.thread;
             let closed = counts.exits + counts.aborts + counts.crashes;
             if counts.enters == 0 || counts.enters != closed || counts.enters > 1 + counts.crashes {
                 violations.push(Violation::NestingInconsistent {
@@ -492,20 +369,17 @@ fn invariant_violations(
         // disagree. A ƒ-failed thread must still be comparable with every
         // thread that kept coordinating.
         let mut finals: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-        for (observer, delta) in &view.view_deltas {
-            let set = finals.entry(*observer).or_default();
+        for delta in &view.view_deltas {
+            let set = finals.entry(delta.observer()).or_default();
             match delta {
-                ViewDelta::Remove(removed) => set.extend(removed.iter().copied()),
-                ViewDelta::Readmit(t) => {
-                    set.remove(t);
+                ViewDelta::Remove { removed, .. } => set.extend(&index.removed[removed.clone()]),
+                ViewDelta::Readmit { thread, .. } => {
+                    set.remove(thread);
                 }
             }
         }
-        let failed = |t: u32| {
-            view.per_thread
-                .get(&t)
-                .is_some_and(|counts| counts.failed_exits > 0)
-        };
+        let counts_of = |t: u32| view.threads.iter().find(|c| c.thread == t);
+        let failed = |t: u32| counts_of(t).is_some_and(|counts| counts.failed_exits > 0);
         let observers: Vec<(u32, &BTreeSet<u32>)> = finals.iter().map(|(t, s)| (*t, s)).collect();
         let mut divergent: Vec<&BTreeSet<u32>> = Vec::new();
         for (i, &(a, set_a)) in observers.iter().enumerate() {
@@ -547,11 +421,13 @@ fn invariant_violations(
         // the enclosing context instead of completing as a member.
         let mut removed_union: BTreeSet<u32> = BTreeSet::new();
         let mut readmitted: BTreeSet<u32> = BTreeSet::new();
-        for (_, delta) in &view.view_deltas {
+        for delta in &view.view_deltas {
             match delta {
-                ViewDelta::Remove(removed) => removed_union.extend(removed.iter().copied()),
-                ViewDelta::Readmit(t) => {
-                    readmitted.insert(*t);
+                ViewDelta::Remove { removed, .. } => {
+                    removed_union.extend(&index.removed[removed.clone()])
+                }
+                ViewDelta::Readmit { thread, .. } => {
+                    readmitted.insert(*thread);
                 }
             }
         }
@@ -559,9 +435,7 @@ fn invariant_violations(
             if readmitted.contains(&thread) {
                 continue;
             }
-            if view
-                .per_thread
-                .get(&thread)
+            if counts_of(thread)
                 .is_some_and(|counts| counts.exits.saturating_sub(counts.failed_exits) > 0)
             {
                 violations.push(Violation::FalseSuspicion { action, thread });
@@ -577,9 +451,9 @@ fn invariant_violations(
 #[must_use]
 pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
     let plan = &artifacts.plan;
-    let labels = artifacts.trace.canonical_labels();
-    let views = collect_views(&artifacts.trace);
-    let mut violations = invariant_violations(&artifacts.report, &views, &labels);
+    let index = artifacts.trace.index();
+    let entries = artifacts.trace.entries();
+    let mut violations = invariant_violations(&artifacts.report, index);
 
     // Group-size lookup by action name (instances report their definition
     // name in their Enter events).
@@ -596,12 +470,13 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
     // other oracle still applies).
     let check_lemma1 = !plan.has_objects() && plan.crashes.is_empty();
     let plan_depth = plan.max_depth() as u32;
-    for (&serial, view) in &views {
-        let action = labels.get(&serial).copied().unwrap_or(usize::MAX) as u64;
+    for (label, view) in index.by_serial() {
+        let action = u64::from(label);
 
         // Lemma 1 completion bound.
         if check_lemma1 {
-            if let (Some(raise), Some(done)) = (view.first_raise_ns, view.last_handler_end_ns) {
+            if let (Some(raise), Some(done)) = (view.first_raise, view.last_handler_end_ns) {
+                let raise = entries[raise as usize].at_ns;
                 let measured = (done.saturating_sub(raise)) as f64 / 1e9;
                 if measured > bound_secs {
                     violations.push(Violation::Lemma1Exceeded {
@@ -655,9 +530,9 @@ pub fn check_run(artifacts: &RunArtifacts) -> Vec<Violation> {
             let readmissions = view
                 .view_deltas
                 .iter()
-                .filter_map(|(_, delta)| match delta {
-                    ViewDelta::Readmit(t) => Some(*t),
-                    ViewDelta::Remove(_) => None,
+                .filter_map(|delta| match delta {
+                    ViewDelta::Readmit { thread, .. } => Some(*thread),
+                    ViewDelta::Remove { .. } => None,
                 })
                 .collect::<BTreeSet<u32>>()
                 .len() as u64;
@@ -685,35 +560,6 @@ pub fn check_replay(original: &Trace, replay: &Trace) -> Option<Violation> {
     original
         .first_divergence(replay)
         .map(|first_diff_line| Violation::ReplayDiverged { first_diff_line })
-}
-
-/// Compares the timestamp-free protocol projections of two traces (see
-/// [`Trace::protocol_projection`]).
-///
-/// Historical/diagnostic: before shared-object acquisition was arbitrated
-/// through the simulation, systems synchronising through objects (the
-/// production cell) could only be replay-checked on this weaker
-/// projection. Everything now replays byte-exactly under [`check_replay`];
-/// the projection remains useful for triaging *which* side of a divergence
-/// (timing vs protocol steps) a future regression sits on.
-#[must_use]
-pub fn check_replay_protocol(original: &Trace, replay: &Trace) -> Option<Violation> {
-    diff_renderings(
-        &original.protocol_projection(),
-        &replay.protocol_projection(),
-    )
-}
-
-fn diff_renderings(a: &str, b: &str) -> Option<Violation> {
-    if a == b {
-        return None;
-    }
-    let first_diff_line = a
-        .lines()
-        .zip(b.lines())
-        .position(|(x, y)| x != y)
-        .unwrap_or_else(|| a.lines().count().min(b.lines().count()));
-    Some(Violation::ReplayDiverged { first_diff_line })
 }
 
 #[cfg(test)]

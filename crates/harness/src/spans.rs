@@ -43,13 +43,14 @@
 //! Every step clamps at the raise time, so the emitted segments are
 //! contiguous, disjoint and exactly cover the raise→resolve interval.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
 use caa_telemetry::json;
 use caa_telemetry::{Span, SpanTree};
 
+use crate::index::SendRec;
 use crate::trace::{Entry, EntryKind, Trace};
 
 /// What a critical-path segment's time was spent on.
@@ -159,37 +160,12 @@ impl InstancePath {
     }
 }
 
-/// One recorded message send, indexed for the backward walk.
-#[derive(Debug, Clone, Copy)]
-struct SendRec {
-    deliver_ns: u64,
-    sent_ns: u64,
-    src: u32,
-    dst: u32,
-    /// Position of the `NetSent` entry in the sender's program order.
-    src_pos: u32,
-    correlation: u64,
-    seq: u64,
-}
-
-/// Reusable scratch for critical-path extraction: cleared (capacity
-/// kept) between runs, so a long-lived recorder adds no steady-state
-/// allocations to the pinned per-seed budget.
+/// Reusable scratch for critical-path extraction: the path buffer the
+/// visitor borrows, cleared (capacity kept) between instances, so a
+/// long-lived recorder adds no steady-state allocations to the pinned
+/// per-seed budget.
 #[derive(Debug, Default)]
 pub struct CriticalPathScratch {
-    first_raise: HashMap<u64, u64>,
-    /// serial → (resolved at, thread, position in that thread's program
-    /// order) of the first `Resolved`.
-    first_resolved: HashMap<u64, (u64, u32, u32)>,
-    /// Per-thread entry indices into the trace, in program order.
-    thread_pos: Vec<Vec<u32>>,
-    sends: Vec<SendRec>,
-    /// Resolved serials in deterministic (resolution-time) order.
-    order: Vec<u64>,
-    /// serial → canonical `A<n>` label (first-appearance order over the
-    /// whole trace; mirrors `Trace::canonical_labels` without allocating
-    /// a fresh map per run).
-    labels: HashMap<u64, u64>,
     path: InstancePath,
 }
 
@@ -205,106 +181,42 @@ impl CriticalPathScratch {
     /// (resolution-time) order. The visited [`InstancePath`] borrows the
     /// scratch's reusable buffer — clone it to keep it.
     pub fn extract(&mut self, trace: &Trace, mut visit: impl FnMut(&InstancePath)) {
-        self.index_trace(trace);
+        let index = trace.index();
         let entries = trace.entries();
-        for i in 0..self.order.len() {
-            let serial = self.order[i];
-            let (resolved_at, thread, pos) = self.first_resolved[&serial];
-            let raised_at = self.first_raise[&serial].min(resolved_at);
-            let instance = self.labels[&serial];
+        for &label in &index.resolutions {
+            let instance = &index.instances()[label as usize];
+            let (Some(raise), Some(resolved)) = (instance.first_raise, instance.first_resolved)
+            else {
+                continue;
+            };
+            let resolved_entry = &entries[resolved as usize];
+            let resolved_at = resolved_entry.at_ns;
             self.walk(
-                entries,
-                serial,
-                instance,
-                raised_at,
+                trace,
+                label,
+                entries[raise as usize].at_ns.min(resolved_at),
                 resolved_at,
-                thread,
-                pos,
+                resolved_entry.thread,
+                index.positions[resolved as usize],
             );
             visit(&self.path);
         }
     }
 
-    /// One pass over the trace: program-order indices per thread, send
-    /// records sorted by delivery time, first raise/resolve per serial.
-    fn index_trace(&mut self, trace: &Trace) {
-        self.first_raise.clear();
-        self.first_resolved.clear();
-        for list in &mut self.thread_pos {
-            list.clear();
-        }
-        self.sends.clear();
-        self.order.clear();
-        self.labels.clear();
-        for (i, entry) in trace.entries().iter().enumerate() {
-            let next_label = u64::try_from(self.labels.len()).expect("label count fits u64");
-            self.labels
-                .entry(entry.action_serial())
-                .or_insert(next_label);
-            let thread = entry.thread as usize;
-            if thread >= self.thread_pos.len() {
-                self.thread_pos.resize_with(thread + 1, Vec::new);
-            }
-            let pos = u32::try_from(self.thread_pos[thread].len()).expect("entry count fits u32");
-            self.thread_pos[thread].push(u32::try_from(i).expect("entry count fits u32"));
-            match &entry.kind {
-                EntryKind::Runtime(event) => {
-                    let serial = event.action.serial();
-                    match &event.kind {
-                        EventKind::Raise { .. } => {
-                            self.first_raise.entry(serial).or_insert(entry.at_ns);
-                        }
-                        EventKind::Resolved { .. } => {
-                            self.first_resolved.entry(serial).or_insert((
-                                entry.at_ns,
-                                entry.thread,
-                                pos,
-                            ));
-                        }
-                        _ => {}
-                    }
-                }
-                EntryKind::NetSent(tap) => self.sends.push(SendRec {
-                    deliver_ns: tap.deliver_at.as_nanos(),
-                    sent_ns: entry.at_ns,
-                    src: entry.thread,
-                    dst: tap.dst.as_u32(),
-                    src_pos: pos,
-                    correlation: tap.correlation,
-                    seq: tap.seq,
-                }),
-                _ => {}
-            }
-        }
-        self.sends
-            .sort_unstable_by_key(|s| (s.deliver_ns, s.src, s.seq));
-        self.order.extend(
-            self.first_resolved
-                .iter()
-                .filter(|(serial, _)| self.first_raise.contains_key(serial))
-                .map(|(&serial, _)| serial),
-        );
-        // Raw serials are process-global, so order by canonical facts
-        // (resolution time, thread, program position) instead.
-        let resolved = &self.first_resolved;
-        self.order.sort_unstable_by_key(|serial| resolved[serial]);
-    }
-
     /// The backward walk for one instance (see the module docs); fills
     /// `self.path` with chronological segments exactly covering
     /// `[raised_at, resolved_at]`.
-    #[allow(clippy::too_many_arguments)]
     fn walk(
         &mut self,
-        entries: &[Entry],
-        serial: u64,
-        instance: u64,
+        trace: &Trace,
+        instance: u32,
         raised_at: u64,
         resolved_at: u64,
         mut thread: u32,
         mut pos: u32,
     ) {
-        self.path.instance = instance;
+        let (entries, index) = (trace.entries(), trace.index());
+        self.path.instance = u64::from(instance);
         self.path.raised_at = raised_at;
         self.path.resolved_at = resolved_at;
         self.path.segments.clear();
@@ -319,7 +231,8 @@ impl CriticalPathScratch {
                 break;
             }
             guard -= 1;
-            let entry = &entries[self.thread_pos[thread as usize][pos as usize] as usize];
+            let program = index.program(thread);
+            let entry = &entries[program[pos as usize] as usize];
             // 1. Object-wait tail.
             if let EntryKind::Runtime(event) = &entry.kind {
                 if let EventKind::ObjectAcquired { waited_ns, .. } = &event.kind {
@@ -333,13 +246,13 @@ impl CriticalPathScratch {
             }
             let base = base_class(entry);
             let prev_at = if pos > 0 {
-                entries[self.thread_pos[thread as usize][pos as usize - 1] as usize].at_ns
+                entries[program[pos as usize - 1] as usize].at_ns
             } else {
                 0
             };
             let floor = prev_at.max(raised_at);
             // 2. Causal message edge into the window (latest delivery).
-            if let Some(send) = self.find_send(thread, serial, floor, cursor) {
+            if let Some(send) = find_send(&index.sends, thread, instance, floor, cursor) {
                 self.push_segment(base, send.deliver_ns, cursor);
                 let sent = send.sent_ns.max(raised_at);
                 self.push_segment(SegmentClass::MessageWait, sent, send.deliver_ns);
@@ -363,19 +276,6 @@ impl CriticalPathScratch {
         self.path.segments.reverse();
     }
 
-    /// The latest message of `serial` delivered to `thread` inside
-    /// `(floor, end]` and sent strictly before `end` (strict, so every
-    /// hop makes progress toward the raise).
-    fn find_send(&self, thread: u32, serial: u64, floor: u64, end: u64) -> Option<SendRec> {
-        let upper = self.sends.partition_point(|s| s.deliver_ns <= end);
-        self.sends[..upper]
-            .iter()
-            .rev()
-            .take_while(|s| s.deliver_ns > floor)
-            .find(|s| s.dst == thread && s.correlation == serial && s.sent_ns < end)
-            .copied()
-    }
-
     /// Appends a backward-order segment, skipping empty intervals.
     fn push_segment(&mut self, class: SegmentClass, start_ns: u64, end_ns: u64) {
         if start_ns < end_ns {
@@ -386,6 +286,25 @@ impl CriticalPathScratch {
             });
         }
     }
+}
+
+/// The latest message of `instance` delivered to `thread` inside
+/// `(floor, end]` and sent strictly before `end` (strict, so every hop
+/// makes progress toward the raise). `sends` is sorted by delivery time.
+fn find_send(
+    sends: &[SendRec],
+    thread: u32,
+    instance: u32,
+    floor: u64,
+    end: u64,
+) -> Option<SendRec> {
+    let upper = sends.partition_point(|s| s.deliver_ns <= end);
+    sends[..upper]
+        .iter()
+        .rev()
+        .take_while(|s| s.deliver_ns > floor)
+        .find(|s| s.dst == thread && s.instance == instance && s.sent_ns < end)
+        .copied()
 }
 
 /// Convenience form of [`CriticalPathScratch::extract`]: every resolved
@@ -399,8 +318,8 @@ pub fn critical_paths(trace: &Trace) -> Vec<InstancePath> {
     paths
 }
 
-/// Per-(instance, thread) span bookkeeping key.
-type Key = (u64, u32);
+/// Per-(instance label, thread) span bookkeeping key.
+type Key = (u32, u32);
 
 /// Reconstructs the run's span tree from its canonical trace: one span
 /// per protocol phase (see the module docs for the taxonomy). Spans are
@@ -410,46 +329,46 @@ type Key = (u64, u32);
 /// tree, byte for byte under [`SpanTree::render`].
 #[must_use]
 pub fn build_span_tree(trace: &Trace) -> SpanTree {
-    let labels = trace.canonical_labels();
-    let label = |serial: u64| labels[&serial] as u64;
+    let (entries, index) = (trace.entries(), trace.index());
     let mut tree = SpanTree::new();
     // Innermost-last stack of open action spans per thread.
-    let mut action_stack: HashMap<u32, Vec<(u64, u32)>> = HashMap::new();
+    let mut action_stack: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
     let mut recovery_open: HashMap<Key, (u64, u64)> = HashMap::new();
     let mut signalling_open: HashMap<Key, u32> = HashMap::new();
     let mut handler_open: HashMap<Key, u32> = HashMap::new();
     let mut exit_open: HashMap<Key, u32> = HashMap::new();
     let mut catchup_open: HashMap<Key, u32> = HashMap::new();
-    let mut raise_open: HashMap<u64, u32> = HashMap::new();
-    let mut detect_open: Vec<(u32, u32)> = Vec::new();
-    let mut last_crash: HashMap<u32, u64> = HashMap::new();
-    let end_ns = trace.entries().last().map_or(0, |e| e.at_ns);
+    let mut raise_open: HashMap<u32, u32> = HashMap::new();
+    // Crash pairs come from the index, in trace order.
+    let mut detections = index.crash_detections.iter();
+    let mut restarts = index.rejoin_restarts.iter().peekable();
+    let end_ns = entries.last().map_or(0, |e| e.at_ns);
 
-    // The innermost open action span on `thread` matching `serial`, or
-    // the innermost of any serial (an observer event of a peer's
+    // The innermost open action span on `thread` matching `label`, or
+    // the innermost of any instance (an observer event of a peer's
     // instance), or none.
-    let parent_of = |stacks: &HashMap<u32, Vec<(u64, u32)>>, thread: u32, serial: u64| {
+    let parent_of = |stacks: &HashMap<u32, Vec<(u32, u32)>>, thread: u32, label: u32| {
         let stack = stacks.get(&thread)?;
         stack
             .iter()
             .rev()
-            .find(|(s, _)| *s == serial)
+            .find(|(l, _)| *l == label)
             .or_else(|| stack.last())
             .map(|&(_, span)| span)
     };
 
-    for entry in trace.entries() {
+    for (i, entry) in entries.iter().enumerate() {
         let at = entry.at_ns;
         let thread = entry.thread;
         let EntryKind::Runtime(event) = &entry.kind else {
             continue;
         };
-        let serial = event.action.serial();
-        let instance = label(serial);
-        let key = (serial, thread);
+        let label = index.labels[i];
+        let instance = u64::from(label);
+        let key = (label, thread);
         match &event.kind {
             EventKind::Enter { name, .. } => {
-                let parent = parent_of(&action_stack, thread, serial);
+                let parent = parent_of(&action_stack, thread, label);
                 let span = tree.push(Span {
                     name: format!("action:{name}"),
                     start_ns: at,
@@ -458,7 +377,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                     instance,
                     parent,
                 });
-                action_stack.entry(thread).or_default().push((serial, span));
+                action_stack.entry(thread).or_default().push((label, span));
             }
             EventKind::Exit { .. } | EventKind::Abort { .. } => {
                 if let Some(span) = exit_open.remove(&key) {
@@ -468,21 +387,21 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                     tree.set_end(span, at);
                 }
                 if let Some(stack) = action_stack.get_mut(&thread) {
-                    if let Some(i) = stack.iter().rposition(|(s, _)| *s == serial) {
+                    if let Some(i) = stack.iter().rposition(|(s, _)| *s == label) {
                         let (_, span) = stack.remove(i);
                         tree.set_end(span, at);
                     }
                 }
             }
             EventKind::Raise { exception } => {
-                raise_open.entry(serial).or_insert_with(|| {
+                raise_open.entry(label).or_insert_with(|| {
                     tree.push(Span {
                         name: format!("raise\u{2192}resolve:{exception}"),
                         start_ns: at,
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     })
                 });
             }
@@ -490,7 +409,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 recovery_open.insert(key, (at, 1));
             }
             EventKind::Resolved { .. } => {
-                if let Some(span) = raise_open.remove(&serial) {
+                if let Some(span) = raise_open.remove(&label) {
                     tree.set_end(span, at);
                 }
                 if let Some((start, round)) = recovery_open.get_mut(&key) {
@@ -500,7 +419,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     });
                     let _ = span;
                     *start = at;
@@ -517,7 +436,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     }),
                 );
             }
@@ -535,7 +454,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     }),
                 );
             }
@@ -551,7 +470,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                     end_ns: at,
                     thread,
                     instance,
-                    parent: parent_of(&action_stack, thread, serial),
+                    parent: parent_of(&action_stack, thread, label),
                 });
             }
             EventKind::ExitStart { epoch } => {
@@ -566,12 +485,11 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     }),
                 );
             }
             EventKind::Crash => {
-                last_crash.insert(thread, at);
                 // A crash closes everything the thread had open.
                 for (_, span) in action_stack.remove(&thread).unwrap_or_default() {
                     tree.set_end(span, at);
@@ -591,35 +509,23 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                     }
                     t != thread
                 });
-                detect_open.push((
+                let detected = detections.next().and_then(|&(_, detected)| detected);
+                tree.push(Span {
+                    name: "crash-detect".to_owned(),
+                    start_ns: at,
+                    end_ns: detected.map_or(end_ns, |v| entries[v as usize].at_ns),
                     thread,
-                    tree.push(Span {
-                        name: "crash-detect".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: None,
-                    }),
-                ));
-            }
-            EventKind::ViewChange { removed, .. } => {
-                detect_open.retain(|&(crashed, span)| {
-                    if removed.iter().any(|t| t.as_u32() == crashed) {
-                        tree.set_end(span, at);
-                        false
-                    } else {
-                        true
-                    }
+                    instance,
+                    parent: None,
                 });
             }
             EventKind::Rejoin {
                 thread: rejoiner, ..
             } if rejoiner.as_u32() == thread => {
-                if let Some(&crash_at) = last_crash.get(&thread) {
+                if let Some(&(crash, _)) = restarts.next_if(|&&(_, rejoin)| rejoin as usize == i) {
                     tree.push(Span {
                         name: "rejoin-restart".to_owned(),
-                        start_ns: crash_at,
+                        start_ns: entries[crash as usize].at_ns,
                         end_ns: at,
                         thread,
                         instance,
@@ -634,7 +540,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, serial),
+                        parent: parent_of(&action_stack, thread, label),
                     }),
                 );
             }
@@ -654,7 +560,6 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
         .chain(exit_open.into_values())
         .chain(catchup_open.into_values())
         .chain(raise_open.into_values())
-        .chain(detect_open.into_iter().map(|(_, span)| span))
     {
         tree.set_end(span, end_ns);
     }
@@ -686,7 +591,7 @@ fn base_class(entry: &Entry) -> SegmentClass {
 #[must_use]
 pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
     let tree = build_span_tree(trace);
-    let labels = trace.canonical_labels();
+    let index = trace.index();
     let mut out = String::with_capacity(tree.len() * 128 + 4096);
     out.push_str("{\n\"displayTimeUnit\": \"ns\",\n");
     let _ = writeln!(out, "\"otherData\": {{\"seed\": {seed}}},");
@@ -710,8 +615,7 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
             ),
         );
     }
-    let threads: BTreeSet<u32> = trace.entries().iter().map(|e| e.thread).collect();
-    for thread in &threads {
+    for thread in index.threads() {
         push_event(
             &mut out,
             format!(
@@ -739,16 +643,17 @@ pub fn trace_event_json(trace: &Trace, seed: u64) -> String {
     }
 
     // Causal message edges as paired flow arrows.
-    for (id, (entry, tap)) in trace
+    for (id, (i, entry, tap)) in trace
         .entries()
         .iter()
-        .filter_map(|e| match &e.kind {
-            EntryKind::NetSent(tap) => Some((e, tap)),
+        .enumerate()
+        .filter_map(|(i, e)| match &e.kind {
+            EntryKind::NetSent(tap) => Some((i, e, tap)),
             _ => None,
         })
         .enumerate()
     {
-        let instance = labels[&tap.correlation];
+        let instance = index.labels[i];
         let arrow = |ph: &str, bind: &str, ts: u64, tid: u32| {
             let mut body = String::with_capacity(96);
             body.push_str("{\"name\": ");

@@ -20,8 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use caa_runtime::observe::EventKind;
-
 use crate::arena::ExecutionArena;
 use crate::exec::{execute_owned, run_plan, RunArtifacts};
 use crate::metrics::{metrics_json, SweepMetrics};
@@ -251,48 +249,28 @@ pub struct PathCoverage {
 }
 
 impl PathCoverage {
-    /// Counts one run's protocol-path hits from its canonical trace.
+    /// Counts one run's protocol-path hits: a fold over the trace's
+    /// [`InstanceIndex`](crate::index::InstanceIndex).
     #[must_use]
     pub fn from_trace(trace: &Trace) -> PathCoverage {
-        use std::collections::HashSet;
-        let mut coverage = PathCoverage::default();
-        // Threads currently inside an exit phase of an instance.
-        let mut exiting: HashSet<(u64, u32)> = HashSet::new();
-        for event in trace.runtime_events() {
-            let key = (event.action.serial(), event.thread.as_u32());
-            match &event.kind {
-                EventKind::RecoveryStart { .. } => {
-                    coverage.recoveries += 1;
-                    if exiting.remove(&key) {
-                        coverage.exit_races += 1;
-                    }
-                }
-                EventKind::ExitStart { .. } => {
-                    exiting.insert(key);
-                }
-                EventKind::SignalOutcome { signal } => match signal {
-                    caa_core::Signal::Undo => coverage.undo_outcomes += 1,
-                    caa_core::Signal::Failure => {
-                        coverage.failure_outcomes += 1;
-                        // A ƒ below the top level re-raises in the
-                        // enclosing action: a cascade step.
-                        if event.action.depth() >= 1 {
-                            coverage.failure_cascades += 1;
-                        }
-                    }
-                    _ => {}
-                },
-                EventKind::ExitTimeout { .. } => coverage.exit_timeouts += 1,
-                EventKind::ResolutionTimeout { .. } => coverage.resolution_timeouts += 1,
-                EventKind::ViewChange { .. } => coverage.view_changes += 1,
-                EventKind::Crash => coverage.crash_stops += 1,
-                EventKind::Rejoin { thread, .. } if thread.as_u32() == event.thread.as_u32() => {
-                    coverage.rejoins += 1;
-                }
-                EventKind::Abort { .. } => coverage.aborts += 1,
-                EventKind::ObjectAcquired { .. } => coverage.object_acquisitions += 1,
-                _ => {}
-            }
+        let index = trace.index();
+        let counts = index.counts;
+        let mut coverage = PathCoverage {
+            undo_outcomes: counts.undo_outcomes,
+            failure_outcomes: counts.failure_outcomes,
+            failure_cascades: counts.failure_cascades,
+            exit_timeouts: counts.exit_timeouts,
+            resolution_timeouts: counts.resolution_timeouts,
+            view_changes: counts.view_changes,
+            object_acquisitions: index.acquisitions.len() as u64,
+            rejoins: counts.rejoins,
+            ..PathCoverage::default()
+        };
+        for facts in index.instances().iter().flat_map(|i| &i.threads) {
+            coverage.recoveries += facts.recovery_starts as u64;
+            coverage.exit_races += facts.exit_races;
+            coverage.crash_stops += facts.crashes as u64;
+            coverage.aborts += facts.aborts as u64;
         }
         coverage
     }
@@ -489,20 +467,6 @@ impl SweepReport {
 #[must_use]
 pub fn run_seed(seed: u64, scenario: &ScenarioConfig, check_replay_too: bool) -> SeedResult {
     run_seed_in(seed, scenario, check_replay_too, &mut ExecutionArena::new())
-}
-
-/// [`run_seed`] with a trace-buffer preallocation hint (entries). Kept
-/// for callers without a long-lived arena — [`run_seed_in`] is the sweep
-/// path.
-#[must_use]
-pub fn run_seed_with_capacity(
-    seed: u64,
-    scenario: &ScenarioConfig,
-    check_replay_too: bool,
-    trace_capacity: usize,
-) -> SeedResult {
-    let mut arena = ExecutionArena::with_trace_capacity(trace_capacity);
-    run_seed_in(seed, scenario, check_replay_too, &mut arena)
 }
 
 /// [`run_seed`] through a per-worker [`ExecutionArena`]: both executions

@@ -9,15 +9,17 @@
 //! `(virtual time, thread, per-thread sequence)`, which is fully
 //! deterministic for a deterministic run — the same seed renders the same
 //! byte-identical trace, which is exactly what the deterministic-replay
-//! oracle checks.
+//! oracle checks. The same hand-over builds the trace's
+//! [`InstanceIndex`], the one interpretation every consumer reads.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use caa_runtime::observe::{Event, Observer};
 use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
+
+use crate::index::InstanceIndex;
 
 /// What one trace entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +64,7 @@ impl Entry {
     /// the entry's action instance: raw instance serials incorporate
     /// process-global definition ids and would differ between two
     /// executions of the same seed.
-    fn render(&self, out: &mut String, act: usize) {
+    fn render(&self, out: &mut String, act: u32) {
         let _ = write!(
             out,
             "@{:>12} T{} #{:<4} A{act} ",
@@ -94,25 +96,43 @@ impl Entry {
     }
 }
 
-/// A completed, canonically ordered trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A completed, canonically ordered trace with its [`InstanceIndex`].
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     entries: Vec<Entry>,
+    index: InstanceIndex,
 }
 
+/// Traces compare by their entries; the index is a function of them.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl Eq for Trace {}
+
 impl Trace {
+    /// Sorts `entries` into canonical order and indexes them into the
+    /// recycled `index`. `(thread, seq)` is unique per entry, so the
+    /// unstable sort yields the one canonical order.
+    fn canonical(mut entries: Vec<Entry>, mut index: InstanceIndex) -> Trace {
+        entries.sort_unstable_by_key(|e| (e.at_ns, e.thread, e.seq));
+        index.rebuild(&entries);
+        Trace { entries, index }
+    }
+
     /// The entries in canonical order.
     #[must_use]
     pub fn entries(&self) -> &[Entry] {
         &self.entries
     }
 
-    /// Consumes the trace, returning its entry buffer — the recycling hook
-    /// for [`crate::arena::ExecutionArena`]: a sweep worker that is done
-    /// with a trace hands the allocation back instead of dropping it.
+    /// The trace's per-instance index, built once when the trace was
+    /// handed over.
     #[must_use]
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
+    pub fn index(&self) -> &InstanceIndex {
+        &self.index
     }
 
     /// Number of entries.
@@ -135,38 +155,16 @@ impl Trace {
         })
     }
 
-    /// The network send events of the trace, in canonical order.
-    pub fn net_sends(&self) -> impl Iterator<Item = &TapEvent> {
-        self.entries.iter().filter_map(|e| match &e.kind {
-            EntryKind::NetSent(ev) => Some(ev),
-            _ => None,
-        })
-    }
-
-    /// Dense, run-independent labels for the trace's action instances,
-    /// assigned in canonical-order of first appearance — the `A<n>` labels
-    /// used by [`Trace::render`] and by oracle violation reports.
-    #[must_use]
-    pub fn canonical_labels(&self) -> HashMap<u64, usize> {
-        let mut canonical: HashMap<u64, usize> = HashMap::new();
-        for entry in &self.entries {
-            let next = canonical.len();
-            canonical.entry(entry.action_serial()).or_insert(next);
-        }
-        canonical
-    }
-
     /// Renders the whole trace as text: one line per entry, byte-identical
     /// across replays of the same seed. Action-instance serials are
-    /// replaced by dense labels assigned in canonical-order of first
-    /// appearance ([`Trace::canonical_labels`]), so the rendering is
-    /// independent of process-global definition-id state.
+    /// replaced by the index's dense labels, assigned in canonical order
+    /// of first appearance ([`InstanceIndex::label`]), so the rendering
+    /// is independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
-        let canonical = self.canonical_labels();
         let mut out = String::with_capacity(self.entries.len() * 64);
-        for entry in &self.entries {
-            entry.render(&mut out, canonical[&entry.action_serial()]);
+        for (i, entry) in self.entries.iter().enumerate() {
+            entry.render(&mut out, self.index.labels[i]);
         }
         out
     }
@@ -181,12 +179,11 @@ impl Trace {
     /// fraction of the allocation cost for large traces.
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
-        let canonical = self.canonical_labels();
         let mut hash: u64 = FNV_OFFSET;
         let mut line = String::with_capacity(96);
-        for entry in &self.entries {
+        for (i, entry) in self.entries.iter().enumerate() {
             line.clear();
-            entry.render(&mut line, canonical[&entry.action_serial()]);
+            entry.render(&mut line, self.index.labels[i]);
             hash = fnv1a64_fold(hash, line.as_bytes());
         }
         hash
@@ -206,19 +203,12 @@ impl Trace {
     /// strings per seed.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        // Canonical labels are assigned in first-appearance order, so they
-        // can be built incrementally while walking the entries.
-        let mut labels_a: HashMap<u64, usize> = HashMap::new();
-        let mut labels_b: HashMap<u64, usize> = HashMap::new();
         let mut line_a = String::new();
         let mut line_b = String::new();
         let common = self.entries.len().min(other.entries.len());
         for i in 0..common {
             let (ea, eb) = (&self.entries[i], &other.entries[i]);
-            let next = labels_a.len();
-            let act_a = *labels_a.entry(ea.action_serial()).or_insert(next);
-            let next = labels_b.len();
-            let act_b = *labels_b.entry(eb.action_serial()).or_insert(next);
+            let (act_a, act_b) = (self.index.labels[i], other.index.labels[i]);
             // A differing label prints as a differing `A<n>` no matter
             // what else the line contains.
             if act_a != act_b {
@@ -241,41 +231,6 @@ impl Trace {
             }
         }
         (self.entries.len() != other.entries.len()).then_some(common)
-    }
-
-    /// Renders the timestamp-free, per-thread *protocol projection*: each
-    /// thread's sequence of runtime protocol steps, with canonical action
-    /// labels, no virtual times and no network events.
-    ///
-    /// Every supported system — harness scenarios and the production cell
-    /// alike — now replays byte-identically under [`Trace::render`]
-    /// (shared-object acquisition is arbitrated deterministically through
-    /// the simulation). The projection survives as a triage tool: when a
-    /// future regression makes full traces diverge, comparing projections
-    /// tells apart timing-only drift from genuine protocol divergence.
-    #[must_use]
-    pub fn protocol_projection(&self) -> String {
-        let mut per_thread: BTreeMap<u32, Vec<&Entry>> = BTreeMap::new();
-        for entry in &self.entries {
-            if matches!(entry.kind, EntryKind::Runtime(_)) {
-                per_thread.entry(entry.thread).or_default().push(entry);
-            }
-        }
-        for entries in per_thread.values_mut() {
-            entries.sort_by_key(|e| e.seq);
-        }
-        let mut canonical: HashMap<u64, usize> = HashMap::new();
-        let mut out = String::with_capacity(self.entries.len() * 32);
-        for (thread, entries) in &per_thread {
-            for entry in entries {
-                let next = canonical.len();
-                let act = *canonical.entry(entry.action_serial()).or_insert(next);
-                if let EntryKind::Runtime(e) = &entry.kind {
-                    let _ = writeln!(out, "T{thread} A{act} {}", e.kind);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -325,26 +280,14 @@ pub fn fnv1a64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// How many per-thread shards a recorder keeps; thread ids beyond this
-/// fall back to a shared overflow shard with explicit per-thread
-/// counters (correct, just not contention-free — unreachable for the
-/// scenario spaces the harness generates).
-const RECORD_SHARDS: usize = 64;
-
-/// One thread's recording shard. Events from one thread arrive in that
-/// thread's program order, so the per-thread sequence number is simply the
-/// shard's length at push time — no shared counter map needed.
+/// A recorder's buffers: the entries in arrival order, the next
+/// per-thread sequence number by thread id, and the recycled index the
+/// hand-over rebuilds.
 #[derive(Default)]
-struct RecorderShard {
+struct Recording {
     entries: Vec<Entry>,
-}
-
-/// Fallback shard for thread ids ≥ [`RECORD_SHARDS`]: a shared buffer
-/// with the pre-shard per-thread counter map.
-#[derive(Default)]
-struct OverflowShard {
-    entries: Vec<Entry>,
-    next_seq: HashMap<u32, u64>,
+    next_seq: Vec<u64>,
+    index: InstanceIndex,
 }
 
 /// Collects runtime and network events from a running system.
@@ -364,34 +307,24 @@ struct OverflowShard {
 /// # drop(sys);
 /// ```
 pub struct TraceRecorder {
-    /// Sharded by originating thread id: each participant records into
-    /// its own slot, so pushes from different threads never contend, the
-    /// critical section is one `Vec::push`, and the per-thread sequence
-    /// number is the shard length — no shared counter map. The canonical
-    /// order is reconstructed by the merge sort in
-    /// [`TraceRecorder::take_trace`], exactly as before sharding.
-    shards: Vec<Mutex<RecorderShard>>,
-    /// Thread ids ≥ [`RECORD_SHARDS`] (unreachable for generated
-    /// scenarios) share this shard, which keeps explicit counters.
-    overflow: Mutex<OverflowShard>,
+    /// Every participant of a system runs on the executor's one thread,
+    /// so the lock never contends; it keeps the recorder `Send + Sync`
+    /// for the observer and tap hooks.
+    recording: Mutex<Recording>,
 }
 
 impl Default for TraceRecorder {
     fn default() -> Self {
         TraceRecorder {
-            shards: (0..RECORD_SHARDS)
-                .map(|_| Mutex::new(RecorderShard::default()))
-                .collect(),
-            overflow: Mutex::new(OverflowShard::default()),
+            recording: Mutex::new(Recording::default()),
         }
     }
 }
 
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entries: usize = self.shards.iter().map(|s| s.lock().entries.len()).sum();
         f.debug_struct("TraceRecorder")
-            .field("entries", &entries)
+            .field("entries", &self.recording.lock().entries.len())
             .finish()
     }
 }
@@ -403,87 +336,65 @@ impl TraceRecorder {
         Arc::new(TraceRecorder::default())
     }
 
-    /// A fresh recorder with roughly `entries` preallocated across the
-    /// shards low thread ids actually use — sweep drivers pass the
-    /// previous run's trace size so steady-state recording rarely
+    /// A fresh recorder with room for `entries` — sweep drivers pass the
+    /// largest trace seen so far so steady-state recording rarely
     /// reallocates mid-run.
     #[must_use]
     pub fn with_capacity(entries: usize) -> Arc<TraceRecorder> {
         let recorder = TraceRecorder::default();
-        if entries > 0 {
-            // Low thread ids dominate generated scenarios: split the hint
-            // over the first shards so the reserved total equals the hint
-            // (not a multiple of it) while the common case stays
-            // reallocation-free.
-            let per_shard = (entries / 8).max(16);
-            for shard in recorder.shards.iter().take(8) {
-                shard.lock().entries.reserve(per_shard);
-            }
-        }
+        recorder.recording.lock().entries.reserve(entries);
         Arc::new(recorder)
     }
 
-    /// A fresh recorder recording into a recycled entry buffer (cleared,
-    /// capacity kept, assigned to thread 0's shard; other shards warm up
-    /// over the worker's first seeds) — the arena counterpart of
+    /// A fresh recorder recording into a finished trace's recycled
+    /// buffers (entries cleared, capacity kept; the index is rebuilt on
+    /// hand-over) — the arena counterpart of
     /// [`TraceRecorder::with_capacity`].
     #[must_use]
-    pub fn with_buffer(mut entries: Vec<Entry>) -> Arc<TraceRecorder> {
+    pub fn recycling(trace: Trace) -> Arc<TraceRecorder> {
+        let Trace { mut entries, index } = trace;
         entries.clear();
-        let recorder = TraceRecorder::default();
-        *recorder.shards[0].lock() = RecorderShard { entries };
-        Arc::new(recorder)
+        Arc::new(TraceRecorder {
+            recording: Mutex::new(Recording {
+                entries,
+                next_seq: Vec::new(),
+                index,
+            }),
+        })
     }
 
     fn push(&self, at_ns: u64, thread: u32, kind: EntryKind) {
-        if let Some(shard) = self.shards.get(thread as usize) {
-            let mut shard = shard.lock();
-            let seq = shard.entries.len() as u64;
-            shard.entries.push(Entry {
-                at_ns,
-                thread,
-                seq,
-                kind,
-            });
-        } else {
-            let mut overflow = self.overflow.lock();
-            let seq = overflow.next_seq.entry(thread).or_insert(0);
-            let seq_now = *seq;
-            *seq += 1;
-            overflow.entries.push(Entry {
-                at_ns,
-                thread,
-                seq: seq_now,
-                kind,
-            });
+        let mut recording = self.recording.lock();
+        let slot = thread as usize;
+        if slot >= recording.next_seq.len() {
+            recording.next_seq.resize(slot + 1, 0);
         }
+        let seq = recording.next_seq[slot];
+        recording.next_seq[slot] += 1;
+        recording.entries.push(Entry {
+            at_ns,
+            thread,
+            seq,
+            kind,
+        });
     }
 
-    /// Extracts the canonical trace recorded so far.
+    /// Extracts the canonical, indexed trace recorded so far.
     #[must_use]
     pub fn finish(&self) -> Trace {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.lock().entries.iter().cloned());
-        }
-        entries.extend(self.overflow.lock().entries.iter().cloned());
-        entries.sort_by_key(|e| (e.at_ns, e.thread, e.seq));
-        Trace { entries }
+        let entries = self.recording.lock().entries.clone();
+        Trace::canonical(entries, InstanceIndex::default())
     }
 
     /// Like [`TraceRecorder::finish`], but *takes* the recorded entries
-    /// instead of cloning them — the cheap path for run drivers that are
-    /// done with the recorder.
+    /// and the recycled index instead of cloning — the cheap path for run
+    /// drivers that are done with the recorder.
     #[must_use]
     pub fn take_trace(&self) -> Trace {
-        let total: usize = self.shards.iter().map(|s| s.lock().entries.len()).sum();
-        let mut entries = Vec::with_capacity(total + self.overflow.lock().entries.len());
-        for shard in &self.shards {
-            entries.append(&mut shard.lock().entries);
-        }
-        entries.append(&mut self.overflow.lock().entries);
-        entries.sort_by_key(|e| (e.at_ns, e.thread, e.seq));
-        Trace { entries }
+        let mut recording = self.recording.lock();
+        let entries = std::mem::take(&mut recording.entries);
+        let index = std::mem::take(&mut recording.index);
+        Trace::canonical(entries, index)
     }
 }
 

@@ -21,17 +21,17 @@ use caa_harness::plan::{ScenarioConfig, ScenarioPlan};
 use caa_harness::trace::{fnv1a64 as fnv1a, Trace};
 
 fn acquired_lines(trace: &Trace) -> Vec<String> {
-    let canonical = trace.canonical_labels();
     trace
         .entries()
         .iter()
-        .filter_map(|entry| match &entry.kind {
+        .enumerate()
+        .filter_map(|(i, entry)| match &entry.kind {
             caa_harness::trace::EntryKind::Runtime(e) => match &e.kind {
                 caa_runtime::observe::EventKind::ObjectAcquired { object, .. } => Some(format!(
                     "@{} T{} A{} acquire {object}",
                     entry.at_ns,
                     entry.thread,
-                    canonical[&entry.action_serial()]
+                    trace.index().labels[i]
                 )),
                 _ => None,
             },
