@@ -484,12 +484,6 @@ impl InstanceIndex {
         }
     }
 
-    /// `thread`'s entries in program order.
-    #[must_use]
-    pub fn program(&self, thread: u32) -> &[u32] {
-        &self.program[thread as usize]
-    }
-
     /// The threads with at least one entry, ascending.
     pub fn threads(&self) -> impl Iterator<Item = u32> + '_ {
         (0..=u32::MAX)

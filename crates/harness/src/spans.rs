@@ -231,7 +231,7 @@ impl CriticalPathScratch {
                 break;
             }
             guard -= 1;
-            let program = index.program(thread);
+            let program = &index.program[thread as usize];
             let entry = &entries[program[pos as usize] as usize];
             // 1. Object-wait tail.
             if let EntryKind::Runtime(event) = &entry.kind {

@@ -158,7 +158,7 @@ impl Trace {
     /// Renders the whole trace as text: one line per entry, byte-identical
     /// across replays of the same seed. Action-instance serials are
     /// replaced by the index's dense labels, assigned in canonical order
-    /// of first appearance ([`InstanceIndex::label`]), so the rendering
+    /// of first appearance ([`InstanceIndex::labels`]), so the rendering
     /// is independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
