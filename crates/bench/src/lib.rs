@@ -7,7 +7,10 @@
 //! * `paper_tables` (binary) — prints the same rows and series the paper
 //!   reports: `cargo run -p caa-bench --release --bin paper_tables all`;
 //! * Criterion benches under `benches/` measure the wall-clock cost of the
-//!   simulated experiments and of exception-graph resolution.
+//!   simulated experiments, of exception-graph resolution and of trace
+//!   rendering;
+//! * [`trajectory`] appends labelled rows to the committed
+//!   `BENCH_sweep.json` (`sweep_bench --append-to`).
 //!
 //! See `EXPERIMENTS.md` at the workspace root for paper-vs-measured values.
 //!
@@ -22,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod scenarios;
+pub mod trajectory;
 
 pub use scenarios::{
     lemma1_bound, nested_abort, resolution_messages, simultaneous_raise, simultaneous_raise_xrr,

@@ -5,6 +5,8 @@
 
 use std::path::Path;
 
+use caa_bench::trajectory::append_run;
+
 /// A strict RFC 8259 syntax check (the documents carry floats, which the
 /// integer-only metrics parser of `caa_telemetry::json` rejects).
 struct Checker<'a> {
@@ -176,4 +178,21 @@ fn committed_bench_documents_parse() {
         checked.iter().any(|n| n == "BENCH_sweep.json"),
         "the sweep trajectory must be among the checked documents: {checked:?}"
     );
+}
+
+#[test]
+fn a_row_appended_to_the_trajectory_keeps_it_valid() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
+    let text = std::fs::read_to_string(path).expect("the trajectory is readable");
+    // The shape `sweep_bench --append-to` writes.
+    let row = "    {\n      \"label\": \"appended \\\"row\\\"\",\n      \"workers\": 1,\n      \
+               \"repeats\": 3,\n      \"cases\": [\n        {\n          \"config\": \"default\",\n          \
+               \"seeds_per_s_min\": 4100.5,\n          \"seeds_per_s\": 4200.0,\n          \
+               \"seeds_per_s_max\": 4301.2,\n          \"parks\": 114000\n        }\n      ]\n    }";
+    let appended = append_run(&text, row).expect("the trajectory has a runs array");
+    if let Err(e) = Checker::check(&appended) {
+        panic!("the appended trajectory is not valid JSON: {e}");
+    }
+    // Every recorded row stays byte for byte as it was.
+    assert_eq!(appended.replacen(&format!(",\n{row}"), "", 1), text);
 }

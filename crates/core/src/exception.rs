@@ -99,6 +99,28 @@ impl ExceptionId {
         &self.0
     }
 
+    /// The name as [`Display`](fmt::Display) and rendered traces spell
+    /// it: the pre-defined exceptions print as `µ`, `ƒ`, `universal`,
+    /// `abortion` and `crash`, every other exception as its name.
+    ///
+    /// ```
+    /// use caa_core::exception::ExceptionId;
+    ///
+    /// assert_eq!(ExceptionId::undo().display_name(), "µ");
+    /// assert_eq!(ExceptionId::new("vm_stop").display_name(), "vm_stop");
+    /// ```
+    #[must_use]
+    pub fn display_name(&self) -> &str {
+        match self.name() {
+            UNDO_NAME => "µ",
+            FAILURE_NAME => "ƒ",
+            UNIVERSAL_NAME => "universal",
+            ABORTION_NAME => "abortion",
+            CRASH_NAME => "crash",
+            other => other,
+        }
+    }
+
     /// Whether this is the undo exception `µ`.
     #[must_use]
     pub fn is_undo(&self) -> bool {
@@ -143,14 +165,7 @@ impl ExceptionId {
 
 impl fmt::Display for ExceptionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.name() {
-            UNDO_NAME => f.write_str("µ"),
-            FAILURE_NAME => f.write_str("ƒ"),
-            UNIVERSAL_NAME => f.write_str("universal"),
-            ABORTION_NAME => f.write_str("abortion"),
-            CRASH_NAME => f.write_str("crash"),
-            other => f.write_str(other),
-        }
+        f.write_str(self.display_name())
     }
 }
 

@@ -18,6 +18,10 @@ macro_rules! numeric_id {
         pub struct $name(u32);
 
         impl $name {
+            /// The text [`Display`](fmt::Display) prints before the raw
+            /// index.
+            pub const PREFIX: &'static str = $prefix;
+
             /// Creates an id from its raw index.
             #[must_use]
             pub const fn new(raw: u32) -> Self {
@@ -39,7 +43,7 @@ macro_rules! numeric_id {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                write!(f, "{}{}", Self::PREFIX, self.0)
             }
         }
 

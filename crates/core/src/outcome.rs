@@ -58,6 +58,19 @@ impl ActionOutcome {
         }
     }
 
+    /// The outcome's leading text: all of it for `Success`, `Undone` and
+    /// `Failed`; a `Signalled` outcome continues with a space and the
+    /// signalled exception.
+    #[must_use]
+    pub fn word(&self) -> &'static str {
+        match self {
+            ActionOutcome::Success => "success",
+            ActionOutcome::Signalled(_) => "signalled",
+            ActionOutcome::Undone => "undone (µ)",
+            ActionOutcome::Failed => "failed (ƒ)",
+        }
+    }
+
     /// The exception delivered to the enclosing context, if any (including
     /// µ for `Undone` and ƒ for `Failed`).
     #[must_use]
@@ -73,11 +86,10 @@ impl ActionOutcome {
 
 impl fmt::Display for ActionOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.word())?;
         match self {
-            ActionOutcome::Success => f.write_str("success"),
-            ActionOutcome::Signalled(id) => write!(f, "signalled {id}"),
-            ActionOutcome::Undone => f.write_str("undone (µ)"),
-            ActionOutcome::Failed => f.write_str("failed (ƒ)"),
+            ActionOutcome::Signalled(id) => write!(f, " {id}"),
+            _ => Ok(()),
         }
     }
 }

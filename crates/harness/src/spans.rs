@@ -43,7 +43,6 @@
 //! Every step clamps at the raise time, so the emitted segments are
 //! contiguous, disjoint and exactly cover the raise→resolve interval.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use caa_runtime::observe::EventKind;
@@ -318,8 +317,29 @@ pub fn critical_paths(trace: &Trace) -> Vec<InstancePath> {
     paths
 }
 
-/// Per-(instance label, thread) span bookkeeping key.
-type Key = (u32, u32);
+/// The spans one thread has open in one instance.
+#[derive(Debug, Clone, Copy, Default)]
+struct OpenSpans {
+    /// Start and round number of the current resolution round.
+    recovery: Option<(u64, u64)>,
+    signalling: Option<u32>,
+    handler: Option<u32>,
+    exit: Option<u32>,
+    catchup: Option<u32>,
+}
+
+impl OpenSpans {
+    /// Closes every open span at `at` and forgets the recovery round.
+    fn close_all(&mut self, tree: &mut SpanTree, at: u64) {
+        for span in [self.signalling, self.handler, self.exit, self.catchup]
+            .into_iter()
+            .flatten()
+        {
+            tree.set_end(span, at);
+        }
+        *self = OpenSpans::default();
+    }
+}
 
 /// Reconstructs the run's span tree from its canonical trace: one span
 /// per protocol phase (see the module docs for the taxonomy). Spans are
@@ -331,14 +351,14 @@ type Key = (u32, u32);
 pub fn build_span_tree(trace: &Trace) -> SpanTree {
     let (entries, index) = (trace.entries(), trace.index());
     let mut tree = SpanTree::new();
+    // Dense per-thread and per-(label, thread) state, sized from the
+    // index: thread ids index `program`, labels index the instances.
+    let threads = index.program.len();
+    let labels = index.instances().len();
     // Innermost-last stack of open action spans per thread.
-    let mut action_stack: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
-    let mut recovery_open: HashMap<Key, (u64, u64)> = HashMap::new();
-    let mut signalling_open: HashMap<Key, u32> = HashMap::new();
-    let mut handler_open: HashMap<Key, u32> = HashMap::new();
-    let mut exit_open: HashMap<Key, u32> = HashMap::new();
-    let mut catchup_open: HashMap<Key, u32> = HashMap::new();
-    let mut raise_open: HashMap<u32, u32> = HashMap::new();
+    let mut action_stack: Vec<Vec<(u32, u32)>> = vec![Vec::new(); threads];
+    let mut open = vec![OpenSpans::default(); labels * threads];
+    let mut raise_open: Vec<Option<u32>> = vec![None; labels];
     // Crash pairs come from the index, in trace order.
     let mut detections = index.crash_detections.iter();
     let mut restarts = index.rejoin_restarts.iter().peekable();
@@ -347,8 +367,8 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
     // The innermost open action span on `thread` matching `label`, or
     // the innermost of any instance (an observer event of a peer's
     // instance), or none.
-    let parent_of = |stacks: &HashMap<u32, Vec<(u32, u32)>>, thread: u32, label: u32| {
-        let stack = stacks.get(&thread)?;
+    let parent_of = |stacks: &[Vec<(u32, u32)>], thread: u32, label: u32| {
+        let stack = &stacks[thread as usize];
         stack
             .iter()
             .rev()
@@ -365,7 +385,7 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
         };
         let label = index.labels[i];
         let instance = u64::from(label);
-        let key = (label, thread);
+        let slot = label as usize * threads + thread as usize;
         match &event.kind {
             EventKind::Enter { name, .. } => {
                 let parent = parent_of(&action_stack, thread, label);
@@ -377,89 +397,83 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                     instance,
                     parent,
                 });
-                action_stack.entry(thread).or_default().push((label, span));
+                action_stack[thread as usize].push((label, span));
             }
             EventKind::Exit { .. } | EventKind::Abort { .. } => {
-                if let Some(span) = exit_open.remove(&key) {
+                let open = &mut open[slot];
+                for span in [open.exit.take(), open.catchup.take()]
+                    .into_iter()
+                    .flatten()
+                {
                     tree.set_end(span, at);
                 }
-                if let Some(span) = catchup_open.remove(&key) {
+                let stack = &mut action_stack[thread as usize];
+                if let Some(i) = stack.iter().rposition(|(s, _)| *s == label) {
+                    let (_, span) = stack.remove(i);
                     tree.set_end(span, at);
-                }
-                if let Some(stack) = action_stack.get_mut(&thread) {
-                    if let Some(i) = stack.iter().rposition(|(s, _)| *s == label) {
-                        let (_, span) = stack.remove(i);
-                        tree.set_end(span, at);
-                    }
                 }
             }
-            EventKind::Raise { exception } => {
-                raise_open.entry(label).or_insert_with(|| {
-                    tree.push(Span {
-                        name: format!("raise\u{2192}resolve:{exception}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, label),
-                    })
-                });
+            // Only an instance's first raise opens its span.
+            EventKind::Raise { exception } if raise_open[label as usize].is_none() => {
+                raise_open[label as usize] = Some(tree.push(Span {
+                    name: format!("raise\u{2192}resolve:{exception}"),
+                    start_ns: at,
+                    end_ns: at,
+                    thread,
+                    instance,
+                    parent: parent_of(&action_stack, thread, label),
+                }));
             }
             EventKind::RecoveryStart { .. } => {
-                recovery_open.insert(key, (at, 1));
+                open[slot].recovery = Some((at, 1));
             }
             EventKind::Resolved { .. } => {
-                if let Some(span) = raise_open.remove(&label) {
+                if let Some(span) = raise_open[label as usize].take() {
                     tree.set_end(span, at);
                 }
-                if let Some((start, round)) = recovery_open.get_mut(&key) {
-                    let span = tree.push(Span {
+                let parent = parent_of(&action_stack, thread, label);
+                let open = &mut open[slot];
+                if let Some((start, round)) = &mut open.recovery {
+                    tree.push(Span {
                         name: format!("resolution:r{round}"),
                         start_ns: *start,
                         end_ns: at,
                         thread,
                         instance,
-                        parent: parent_of(&action_stack, thread, label),
+                        parent,
                     });
-                    let _ = span;
                     *start = at;
                     *round += 1;
                 }
-                if let Some(span) = signalling_open.remove(&key) {
+                if let Some(span) = open.signalling {
                     tree.set_end(span, at);
                 }
-                signalling_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: "signalling".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, label),
-                    }),
-                );
+                open.signalling = Some(tree.push(Span {
+                    name: "signalling".to_owned(),
+                    start_ns: at,
+                    end_ns: at,
+                    thread,
+                    instance,
+                    parent,
+                }));
             }
             EventKind::SignalOutcome { .. } => {
-                if let Some(span) = signalling_open.remove(&key) {
+                if let Some(span) = open[slot].signalling.take() {
                     tree.set_end(span, at);
                 }
             }
             EventKind::HandlerStart { exception } => {
-                handler_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: format!("handler:{exception}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, label),
-                    }),
-                );
+                open[slot].handler = Some(tree.push(Span {
+                    name: format!("handler:{exception}"),
+                    start_ns: at,
+                    end_ns: at,
+                    thread,
+                    instance,
+                    parent: parent_of(&action_stack, thread, label),
+                }));
             }
             EventKind::HandlerEnd { .. } => {
-                if let Some(span) = handler_open.remove(&key) {
+                if let Some(span) = open[slot].handler.take() {
                     tree.set_end(span, at);
                 }
             }
@@ -474,41 +488,28 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                 });
             }
             EventKind::ExitStart { epoch } => {
-                if let Some(span) = exit_open.remove(&key) {
+                let parent = parent_of(&action_stack, thread, label);
+                let open = &mut open[slot];
+                if let Some(span) = open.exit {
                     tree.set_end(span, at);
                 }
-                exit_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: format!("exit:e{epoch}"),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, label),
-                    }),
-                );
+                open.exit = Some(tree.push(Span {
+                    name: format!("exit:e{epoch}"),
+                    start_ns: at,
+                    end_ns: at,
+                    thread,
+                    instance,
+                    parent,
+                }));
             }
             EventKind::Crash => {
                 // A crash closes everything the thread had open.
-                for (_, span) in action_stack.remove(&thread).unwrap_or_default() {
+                for (_, span) in action_stack[thread as usize].drain(..) {
                     tree.set_end(span, at);
                 }
-                for open in [&mut signalling_open, &mut handler_open, &mut exit_open] {
-                    open.retain(|&(_, t), span| {
-                        if t == thread {
-                            tree.set_end(*span, at);
-                        }
-                        t != thread
-                    });
+                for open in open.iter_mut().skip(thread as usize).step_by(threads) {
+                    open.close_all(&mut tree, at);
                 }
-                recovery_open.retain(|&(_, t), _| t != thread);
-                catchup_open.retain(|&(_, t), span| {
-                    if t == thread {
-                        tree.set_end(*span, at);
-                    }
-                    t != thread
-                });
                 let detected = detections.next().and_then(|&(_, detected)| detected);
                 tree.push(Span {
                     name: "crash-detect".to_owned(),
@@ -532,35 +533,27 @@ pub fn build_span_tree(trace: &Trace) -> SpanTree {
                         parent: None,
                     });
                 }
-                catchup_open.insert(
-                    key,
-                    tree.push(Span {
-                        name: "rejoin-catchup".to_owned(),
-                        start_ns: at,
-                        end_ns: at,
-                        thread,
-                        instance,
-                        parent: parent_of(&action_stack, thread, label),
-                    }),
-                );
+                open[slot].catchup = Some(tree.push(Span {
+                    name: "rejoin-catchup".to_owned(),
+                    start_ns: at,
+                    end_ns: at,
+                    thread,
+                    instance,
+                    parent: parent_of(&action_stack, thread, label),
+                }));
             }
             _ => {}
         }
     }
 
     // Close whatever the trace left open at its end.
-    for stack in action_stack.into_values() {
-        for (_, span) in stack {
-            tree.set_end(span, end_ns);
-        }
+    for (_, span) in action_stack.into_iter().flatten() {
+        tree.set_end(span, end_ns);
     }
-    for span in signalling_open
-        .into_values()
-        .chain(handler_open.into_values())
-        .chain(exit_open.into_values())
-        .chain(catchup_open.into_values())
-        .chain(raise_open.into_values())
-    {
+    for open in &mut open {
+        open.close_all(&mut tree, end_ns);
+    }
+    for span in raise_open.into_iter().flatten() {
         tree.set_end(span, end_ns);
     }
     tree

@@ -12,10 +12,10 @@
 //! oracle checks. The same hand-over builds the trace's
 //! [`InstanceIndex`], the one interpretation every consumer reads.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use caa_runtime::observe::{Event, Observer};
+use caa_core::ids::PartitionId;
+use caa_runtime::observe::{push_decimal, push_decimal_right, Event, Observer};
 use caa_simnet::{NetTap, TapEvent};
 use parking_lot::Mutex;
 
@@ -60,40 +60,55 @@ impl Entry {
         }
     }
 
-    /// Renders one line. `act` is the canonical (run-independent) label of
-    /// the entry's action instance: raw instance serials incorporate
-    /// process-global definition ids and would differ between two
-    /// executions of the same seed.
-    fn render(&self, out: &mut String, act: u32) {
-        let _ = write!(
-            out,
-            "@{:>12} T{} #{:<4} A{act} ",
-            self.at_ns, self.thread, self.seq
-        );
+    /// Renders one line into `out`. `act` is the canonical
+    /// (run-independent) label of the entry's action instance: raw
+    /// instance serials incorporate process-global definition ids and
+    /// would differ between two executions of the same seed.
+    ///
+    /// This is the trace's one renderer: [`Trace::render`],
+    /// [`Trace::render_fingerprint`] and [`Trace::first_divergence`] all
+    /// write through it. The header is `@{at_ns:>12} T{thread}
+    /// #{seq:<4} A{act} `, written with explicit padding; runtime events
+    /// append [`EventKind::render_into`](caa_runtime::observe::EventKind::render_into).
+    fn render(&self, out: &mut Vec<u8>, act: u32) {
+        out.push(b'@');
+        push_decimal_right(out, self.at_ns, 12);
+        out.extend_from_slice(b" T");
+        push_decimal(out, u64::from(self.thread));
+        out.extend_from_slice(b" #");
+        // Left-aligned in four: pad with the spaces the digits left over.
+        let digits = push_decimal(out, self.seq);
+        out.extend_from_slice(b"    ");
+        out.truncate(out.len() - digits.min(4));
+        out.extend_from_slice(b" A");
+        push_decimal(out, u64::from(act));
+        out.push(b' ');
         match &self.kind {
-            EntryKind::Runtime(e) => {
-                let _ = write!(out, "{}", e.kind);
-            }
+            EntryKind::Runtime(e) => e.kind.render_into(out),
             EntryKind::NetSent(e) => {
-                let _ = write!(
-                    out,
-                    "net send {} {}->{} seq={} deliver@{}",
-                    e.class,
-                    e.src,
-                    e.dst,
-                    e.seq,
-                    e.deliver_at.as_nanos()
-                );
+                push_link(out, b"net send ", e);
+                out.extend_from_slice(b" seq=");
+                push_decimal(out, e.seq);
+                out.extend_from_slice(b" deliver@");
+                push_decimal(out, e.deliver_at.as_nanos());
             }
-            EntryKind::NetDropped(e) => {
-                let _ = write!(out, "net drop {} {}->{}", e.class, e.src, e.dst);
-            }
-            EntryKind::NetCorrupted(e) => {
-                let _ = write!(out, "net corrupt {} {}->{}", e.class, e.src, e.dst);
-            }
+            EntryKind::NetDropped(e) => push_link(out, b"net drop ", e),
+            EntryKind::NetCorrupted(e) => push_link(out, b"net corrupt ", e),
         }
-        out.push('\n');
+        out.push(b'\n');
     }
+}
+
+/// Appends `what`, the message class and its `node<src>->node<dst>` link.
+fn push_link(out: &mut Vec<u8>, what: &[u8], e: &TapEvent) {
+    out.extend_from_slice(what);
+    out.extend_from_slice(e.class.as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(PartitionId::PREFIX.as_bytes());
+    push_decimal(out, u64::from(e.src.as_u32()));
+    out.extend_from_slice(b"->");
+    out.extend_from_slice(PartitionId::PREFIX.as_bytes());
+    push_decimal(out, u64::from(e.dst.as_u32()));
 }
 
 /// A completed, canonically ordered trace with its [`InstanceIndex`].
@@ -162,11 +177,11 @@ impl Trace {
     /// is independent of process-global definition-id state.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.entries.len() * 64);
+        let mut out = Vec::with_capacity(self.entries.len() * 72);
         for (i, entry) in self.entries.iter().enumerate() {
             entry.render(&mut out, self.index.labels[i]);
         }
-        out
+        String::from_utf8(out).expect("trace text is UTF-8")
     }
 
     /// Streams the FNV-1a 64-bit fingerprint of [`Trace::render`] without
@@ -180,11 +195,11 @@ impl Trace {
     #[must_use]
     pub fn render_fingerprint(&self) -> u64 {
         let mut hash: u64 = FNV_OFFSET;
-        let mut line = String::with_capacity(96);
+        let mut line = Vec::with_capacity(128);
         for (i, entry) in self.entries.iter().enumerate() {
             line.clear();
             entry.render(&mut line, self.index.labels[i]);
-            hash = fnv1a64_fold(hash, line.as_bytes());
+            hash = fnv1a64_fold(hash, &line);
         }
         hash
     }
@@ -203,8 +218,8 @@ impl Trace {
     /// strings per seed.
     #[must_use]
     pub fn first_divergence(&self, other: &Trace) -> Option<usize> {
-        let mut line_a = String::new();
-        let mut line_b = String::new();
+        let mut line_a = Vec::new();
+        let mut line_b = Vec::new();
         let common = self.entries.len().min(other.entries.len());
         for i in 0..common {
             let (ea, eb) = (&self.entries[i], &other.entries[i]);
@@ -437,8 +452,10 @@ impl NetTap for TraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caa_core::exception::ExceptionId;
-    use caa_core::ids::{ActionId, PartitionId, ThreadId};
+    use caa_core::exception::{ExceptionId, Signal};
+    use caa_core::ids::{ActionId, ThreadId};
+    use caa_core::message::SignalRound;
+    use caa_core::outcome::{ActionOutcome, HandlerVerdict};
     use caa_core::time::VirtualInstant;
     use caa_runtime::observe::EventKind;
 
@@ -470,6 +487,164 @@ mod tests {
         // thread 1 recorded its @200 event before its @100 event.
         assert_eq!(trace.entries()[1].seq, 1);
         assert_eq!(trace.entries()[2].seq, 0);
+    }
+
+    /// Renders one entry exactly as a trace line.
+    fn line(at_ns: u64, thread: u32, seq: u64, act: u32, kind: EntryKind) -> String {
+        let mut out = Vec::new();
+        Entry {
+            at_ns,
+            thread,
+            seq,
+            kind,
+        }
+        .render(&mut out, act);
+        String::from_utf8(out).expect("UTF-8")
+    }
+
+    fn event(kind: EventKind) -> EntryKind {
+        EntryKind::Runtime(Event {
+            at: VirtualInstant::EPOCH,
+            thread: ThreadId::new(0),
+            action: ActionId::top_level(1),
+            kind,
+        })
+    }
+
+    fn tap(class: &'static str, src: u32, dst: u32, seq: u64, deliver: u64) -> TapEvent {
+        TapEvent {
+            src: PartitionId::new(src),
+            dst: PartitionId::new(dst),
+            class,
+            correlation: 77,
+            at: VirtualInstant::EPOCH,
+            deliver_at: VirtualInstant::from_nanos(deliver),
+            seq,
+        }
+    }
+
+    /// Every entry and event kind against its literal line, including
+    /// header fields wider than their padding, every reserved exception
+    /// name and the `Debug` forms. The expectations are literals (not
+    /// `Display` output, which shares the renderer), so they pin the
+    /// bytes every fingerprint hashes.
+    #[test]
+    fn every_kind_renders_its_literal_line() {
+        let t = ThreadId::new;
+        let id = ExceptionId::new;
+        let cases: Vec<(u64, u32, u64, u32, EntryKind, &str)> = vec![
+            (0, 0, 0, 0, event(EventKind::Enter {
+                name: Arc::from("cell"),
+                role: Arc::from("press"),
+                depth: 1,
+            }), "@           0 T0 #0    A0 enter cell as press depth=1\n"),
+            (999_999_999_999, 1, 9_999, 2, event(EventKind::Exit {
+                outcome: ActionOutcome::Success,
+            }), "@999999999999 T1 #9999 A2 exit success\n"),
+            (1_000_000_000_000, 2, 10_000, 3, event(EventKind::Exit {
+                outcome: ActionOutcome::Signalled(id("l_plate")),
+            }), "@1000000000000 T2 #10000 A3 exit signalled l_plate\n"),
+            (u64::MAX, 4_000_000_000, u64::MAX, u32::MAX, event(EventKind::Exit {
+                outcome: ActionOutcome::Signalled(ExceptionId::undo()),
+            }), "@18446744073709551615 T4000000000 #18446744073709551615 A4294967295 exit signalled \u{b5}\n"),
+            (5, 0, 12, 1, event(EventKind::Exit {
+                outcome: ActionOutcome::Undone,
+            }), "@           5 T0 #12   A1 exit undone (\u{b5})\n"),
+            (5, 0, 123, 1, event(EventKind::Exit {
+                outcome: ActionOutcome::Failed,
+            }), "@           5 T0 #123  A1 exit failed (\u{192})\n"),
+            (60, 3, 1, 4, event(EventKind::Abort { eab: None }),
+                "@          60 T3 #1    A4 abort\n"),
+            (60, 3, 2, 4, event(EventKind::Abort {
+                eab: Some(ExceptionId::abortion()),
+            }), "@          60 T3 #2    A4 abort eab=abortion\n"),
+            (61, 3, 3, 4, event(EventKind::Abort {
+                eab: Some(id("e_ab")),
+            }), "@          61 T3 #3    A4 abort eab=e_ab\n"),
+            (7, 1, 0, 0, event(EventKind::Raise {
+                exception: ExceptionId::universal(),
+            }), "@           7 T1 #0    A0 raise universal\n"),
+            (7, 1, 1, 0, event(EventKind::Raise {
+                exception: id("vm_stop"),
+            }), "@           7 T1 #1    A0 raise vm_stop\n"),
+            (8, 1, 2, 0, event(EventKind::RecoveryStart { raised: true }),
+                "@           8 T1 #2    A0 recovery raise\n"),
+            (8, 2, 2, 0, event(EventKind::RecoveryStart { raised: false }),
+                "@           8 T2 #2    A0 recovery suspend\n"),
+            (9, 1, 3, 0, event(EventKind::ResolutionInvoked { invocations: 13 }),
+                "@           9 T1 #3    A0 resolve-invoked x13\n"),
+            (9, 1, 4, 0, event(EventKind::Resolved {
+                exception: ExceptionId::crash(),
+            }), "@           9 T1 #4    A0 resolved crash\n"),
+            (9, 1, 5, 0, event(EventKind::HandlerStart {
+                exception: ExceptionId::failure(),
+            }), "@           9 T1 #5    A0 handler-start \u{192}\n"),
+            (10, 1, 6, 0, event(EventKind::HandlerEnd {
+                verdict: HandlerVerdict::Recovered,
+            }), "@          10 T1 #6    A0 handler-end Recovered\n"),
+            (10, 1, 6, 0, event(EventKind::HandlerEnd {
+                verdict: HandlerVerdict::Signal(id("e2")),
+            }), "@          10 T1 #6    A0 handler-end Signal(ExceptionId(\"e2\"))\n"),
+            (10, 1, 6, 0, event(EventKind::HandlerEnd {
+                verdict: HandlerVerdict::Undo,
+            }), "@          10 T1 #6    A0 handler-end Undo\n"),
+            (10, 1, 6, 0, event(EventKind::HandlerEnd {
+                verdict: HandlerVerdict::Fail,
+            }), "@          10 T1 #6    A0 handler-end Fail\n"),
+            (11, 1, 7, 0, event(EventKind::SignalOutcome { signal: Signal::None }),
+                "@          11 T1 #7    A0 signal None\n"),
+            (11, 1, 7, 0, event(EventKind::SignalOutcome {
+                signal: Signal::Exception(ExceptionId::undo()),
+            }), "@          11 T1 #7    A0 signal Exception(ExceptionId(\"__undo\"))\n"),
+            (11, 1, 7, 0, event(EventKind::SignalOutcome { signal: Signal::Undo }),
+                "@          11 T1 #7    A0 signal Undo\n"),
+            (11, 1, 7, 0, event(EventKind::SignalOutcome { signal: Signal::Failure }),
+                "@          11 T1 #7    A0 signal Failure\n"),
+            (12, 0, 8, 5, event(EventKind::ObjectAcquired {
+                object: Arc::from("belt"),
+                waited_ns: 99,
+            }), "@          12 T0 #8    A5 object acquire belt\n"),
+            (13, 0, 9, 5, event(EventKind::ExitStart { epoch: 2 }),
+                "@          13 T0 #9    A5 exit start e2\n"),
+            (14, 0, 10, 5, event(EventKind::ExitTimeout { epoch: 0 }),
+                "@          14 T0 #10   A5 exit timeout e0\n"),
+            (15, 0, 11, 5, event(EventKind::SignalTimeout {
+                round: SignalRound::First,
+                suspects: vec![t(1), t(3)],
+            }), "@          15 T0 #11   A5 signal timeout round-1 suspects T1 T3\n"),
+            (15, 0, 12, 5, event(EventKind::SignalTimeout {
+                round: SignalRound::AfterUndo,
+                suspects: Vec::new(),
+            }), "@          15 T0 #12   A5 signal timeout round-2 suspects\n"),
+            (16, 0, 13, 5, event(EventKind::ResolutionTimeout { suspects: Vec::new() }),
+                "@          16 T0 #13   A5 resolution timeout suspects\n"),
+            (16, 0, 14, 5, event(EventKind::ResolutionTimeout { suspects: vec![t(2)] }),
+                "@          16 T0 #14   A5 resolution timeout suspects T2\n"),
+            (17, 0, 15, 5, event(EventKind::ViewChange {
+                epoch: 1,
+                removed: Vec::new(),
+            }), "@          17 T0 #15   A5 view change v1 -\n"),
+            (17, 0, 16, 5, event(EventKind::ViewChange {
+                epoch: 30,
+                removed: vec![t(1), t(12)],
+            }), "@          17 T0 #16   A5 view change v30 - T1 T12\n"),
+            (18, 2, 0, 5, event(EventKind::Crash), "@          18 T2 #0    A5 crash-stop\n"),
+            (19, 2, 1, 6, event(EventKind::JoinRequested { to: t(4) }),
+                "@          19 T2 #1    A6 join request T4\n"),
+            (20, 2, 2, 6, event(EventKind::Rejoin {
+                epoch: 5,
+                thread: t(2),
+            }), "@          20 T2 #2    A6 rejoin v5 + T2\n"),
+            (21, 0, 3, 7, EntryKind::NetSent(tap("Exception", 0, 1, 3, 27)),
+                "@          21 T0 #3    A7 net send Exception node0->node1 seq=3 deliver@27\n"),
+            (21, 1, 4, 7, EntryKind::NetDropped(tap("Commit", 1, 10, 4, 21)),
+                "@          21 T1 #4    A7 net drop Commit node1->node10\n"),
+            (21, 3, 5, 7, EntryKind::NetCorrupted(tap("ExitVote", 3, 0, 5, 30)),
+                "@          21 T3 #5    A7 net corrupt ExitVote node3->node0\n"),
+        ];
+        for (at, thread, seq, act, kind, expected) in cases {
+            assert_eq!(line(at, thread, seq, act, kind), expected);
+        }
     }
 
     #[test]

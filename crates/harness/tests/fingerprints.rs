@@ -13,21 +13,43 @@ use caa_harness::trace::fnv1a64;
 #[test]
 fn streamed_fingerprint_equals_hash_of_rendered_trace_across_a_sweep() {
     let mut arena = ExecutionArena::new();
+    // Rendered line prefixes of the membership events; the multi-crash
+    // seeds must reach every one of them.
+    let mut membership = [
+        (" view change ", false),
+        (" join request ", false),
+        (" rejoin ", false),
+        (" resolution timeout ", false),
+        (" exit timeout ", false),
+        (" signal timeout ", false),
+        (" crash-stop", false),
+    ];
     for (config, seeds) in [
         (ScenarioConfig::default(), 0..120u64),
         (ScenarioConfig::object_heavy(), 0..40u64),
+        (ScenarioConfig::multi_crash(), 0..60u64),
     ] {
         for seed in seeds {
             let plan = ScenarioPlan::generate(seed, &config);
             let artifacts = execute_in(&plan, &mut arena);
+            let text = artifacts.trace.render();
             assert_eq!(
                 artifacts.trace.render_fingerprint(),
-                fnv1a64(artifacts.trace.render().as_bytes()),
+                fnv1a64(text.as_bytes()),
                 "seed {seed}: streamed fingerprint diverges from rendered hash"
             );
+            for (needle, seen) in &mut membership {
+                *seen |= text.contains(*needle);
+            }
             arena.recycle_trace(artifacts.trace);
         }
     }
+    let missing: Vec<&str> = membership
+        .iter()
+        .filter(|(_, seen)| !seen)
+        .map(|(needle, _)| *needle)
+        .collect();
+    assert!(missing.is_empty(), "no seed rendered {missing:?}");
 }
 
 #[test]

@@ -20,6 +20,7 @@
 //! the harness's trace recorder does.
 
 use std::fmt;
+use std::io::Write as _;
 use std::sync::Arc;
 
 use caa_core::exception::{ExceptionId, Signal};
@@ -186,56 +187,208 @@ pub enum EventKind {
     },
 }
 
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl EventKind {
+    /// Appends the event's trace text to `out`. This is the one
+    /// definition of that text: [`Display`](fmt::Display) delegates here,
+    /// and the harness's trace renderer writes every runtime line with it,
+    /// so trace fingerprints hash exactly these bytes. The frequent kinds
+    /// are written byte by byte; only the rare timeout round and the
+    /// `Debug` forms of exception-carrying verdicts and signals go
+    /// through `core::fmt`.
+    pub fn render_into(&self, out: &mut Vec<u8>) {
         match self {
             EventKind::Enter { name, role, depth } => {
-                write!(f, "enter {name} as {role} depth={depth}")
+                out.extend_from_slice(b"enter ");
+                out.extend_from_slice(name.as_bytes());
+                out.extend_from_slice(b" as ");
+                out.extend_from_slice(role.as_bytes());
+                out.extend_from_slice(b" depth=");
+                push_decimal(out, *depth as u64);
             }
-            EventKind::Exit { outcome } => write!(f, "exit {outcome}"),
-            EventKind::Abort { eab: Some(e) } => write!(f, "abort eab={e}"),
-            EventKind::Abort { eab: None } => f.write_str("abort"),
-            EventKind::Raise { exception } => write!(f, "raise {exception}"),
-            EventKind::RecoveryStart { raised } => {
-                write!(f, "recovery {}", if *raised { "raise" } else { "suspend" })
-            }
-            EventKind::ResolutionInvoked { invocations } => {
-                write!(f, "resolve-invoked x{invocations}")
-            }
-            EventKind::Resolved { exception } => write!(f, "resolved {exception}"),
-            EventKind::HandlerStart { exception } => write!(f, "handler-start {exception}"),
-            EventKind::HandlerEnd { verdict } => write!(f, "handler-end {verdict:?}"),
-            EventKind::SignalOutcome { signal } => write!(f, "signal {signal:?}"),
-            EventKind::ObjectAcquired { object, .. } => write!(f, "object acquire {object}"),
-            EventKind::ExitStart { epoch } => write!(f, "exit start e{epoch}"),
-            EventKind::ExitTimeout { epoch } => write!(f, "exit timeout e{epoch}"),
-            EventKind::ResolutionTimeout { suspects } => {
-                f.write_str("resolution timeout suspects")?;
-                for t in suspects {
-                    write!(f, " {t}")?;
+            EventKind::Exit { outcome } => {
+                out.extend_from_slice(b"exit ");
+                out.extend_from_slice(outcome.word().as_bytes());
+                if let ActionOutcome::Signalled(id) = outcome {
+                    push_exception(out, b" ", id);
                 }
-                Ok(())
+            }
+            EventKind::Abort { eab: Some(e) } => push_exception(out, b"abort eab=", e),
+            EventKind::Abort { eab: None } => out.extend_from_slice(b"abort"),
+            EventKind::Raise { exception } => push_exception(out, b"raise ", exception),
+            EventKind::RecoveryStart { raised } => out.extend_from_slice(if *raised {
+                b"recovery raise"
+            } else {
+                b"recovery suspend"
+            }),
+            EventKind::ResolutionInvoked { invocations } => {
+                out.extend_from_slice(b"resolve-invoked x");
+                push_decimal(out, u64::from(*invocations));
+            }
+            EventKind::Resolved { exception } => push_exception(out, b"resolved ", exception),
+            EventKind::HandlerStart { exception } => {
+                push_exception(out, b"handler-start ", exception);
+            }
+            EventKind::HandlerEnd { verdict } => {
+                out.extend_from_slice(b"handler-end ");
+                match verdict {
+                    HandlerVerdict::Recovered => out.extend_from_slice(b"Recovered"),
+                    HandlerVerdict::Undo => out.extend_from_slice(b"Undo"),
+                    HandlerVerdict::Fail => out.extend_from_slice(b"Fail"),
+                    HandlerVerdict::Signal(_) => {
+                        let _ = write!(out, "{verdict:?}");
+                    }
+                }
+            }
+            EventKind::SignalOutcome { signal } => {
+                out.extend_from_slice(b"signal ");
+                match signal {
+                    Signal::None => out.extend_from_slice(b"None"),
+                    Signal::Undo => out.extend_from_slice(b"Undo"),
+                    Signal::Failure => out.extend_from_slice(b"Failure"),
+                    Signal::Exception(_) => {
+                        let _ = write!(out, "{signal:?}");
+                    }
+                }
+            }
+            EventKind::ObjectAcquired { object, .. } => {
+                out.extend_from_slice(b"object acquire ");
+                out.extend_from_slice(object.as_bytes());
+            }
+            EventKind::ExitStart { epoch } => {
+                out.extend_from_slice(b"exit start e");
+                push_decimal(out, u64::from(*epoch));
+            }
+            EventKind::ExitTimeout { epoch } => {
+                out.extend_from_slice(b"exit timeout e");
+                push_decimal(out, u64::from(*epoch));
+            }
+            EventKind::ResolutionTimeout { suspects } => {
+                out.extend_from_slice(b"resolution timeout suspects");
+                push_threads(out, suspects);
             }
             EventKind::ViewChange { epoch, removed } => {
-                write!(f, "view change v{epoch} -")?;
-                for t in removed {
-                    write!(f, " {t}")?;
-                }
-                Ok(())
+                out.extend_from_slice(b"view change v");
+                push_decimal(out, u64::from(*epoch));
+                out.extend_from_slice(b" -");
+                push_threads(out, removed);
             }
             EventKind::SignalTimeout { round, suspects } => {
-                write!(f, "signal timeout {round} suspects")?;
-                for t in suspects {
-                    write!(f, " {t}")?;
-                }
-                Ok(())
+                let _ = write!(out, "signal timeout {round} suspects");
+                push_threads(out, suspects);
             }
-            EventKind::Crash => f.write_str("crash-stop"),
-            EventKind::JoinRequested { to } => write!(f, "join request {to}"),
+            EventKind::Crash => out.extend_from_slice(b"crash-stop"),
+            EventKind::JoinRequested { to } => {
+                out.extend_from_slice(b"join request ");
+                push_thread(out, *to);
+            }
             EventKind::Rejoin { epoch, thread } => {
-                write!(f, "rejoin v{epoch} + {thread}")
+                out.extend_from_slice(b"rejoin v");
+                push_decimal(out, u64::from(*epoch));
+                out.extend_from_slice(b" + ");
+                push_thread(out, *thread);
             }
         }
+    }
+}
+
+impl fmt::Display for EventKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = Vec::new();
+        self.render_into(&mut text);
+        f.write_str(std::str::from_utf8(&text).map_err(|_| fmt::Error)?)
+    }
+}
+
+/// Appends `value` in decimal to `out` (the bytes `{value}` formats to)
+/// and returns the number of digits.
+pub fn push_decimal(out: &mut Vec<u8>, value: u64) -> usize {
+    // Thread ids, labels, epochs and most sequence numbers are below 100.
+    if value < 10 {
+        out.push(b'0' + value as u8);
+        1
+    } else if value < 100 {
+        let from = value as usize * 2;
+        out.extend_from_slice(&DIGIT_PAIRS[from..from + 2]);
+        2
+    } else {
+        push_decimal_right(out, value, 0)
+    }
+}
+
+/// Appends `value` in decimal, right-aligned in a field of at least
+/// `width` (at most 20) bytes — the bytes `{value:>width$}` formats to —
+/// and returns the number of digits. The field is built in a stack buffer
+/// and appended whole, then cut to length, so no call copies a
+/// variable-length slice.
+pub fn push_decimal_right(out: &mut Vec<u8>, value: u64, width: usize) -> usize {
+    let len = value.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let field = len.max(width);
+    let mut buf = [b' '; 20];
+    write_digits(&mut buf[..field], value);
+    let end = out.len() + field;
+    out.extend_from_slice(&buf);
+    out.truncate(end);
+    len
+}
+
+/// `"00" "01" … "99"`: the two digits of every value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes the digits of `value` into the end of `out`, two at a time.
+fn write_digits(out: &mut [u8], value: u64) {
+    let pair = |out: &mut [u8], at: usize, pair: u32| {
+        let from = pair as usize * 2;
+        out[at..at + 2].copy_from_slice(&DIGIT_PAIRS[from..from + 2]);
+    };
+    let mut end = out.len();
+    // Eight digits at a time in `u32` arithmetic: virtual-time
+    // nanoseconds run to twelve digits, and the four pairs of a chunk do
+    // not wait on each other.
+    let mut rest = value;
+    while rest >= 100_000_000 {
+        let chunk = (rest % 100_000_000) as u32;
+        rest /= 100_000_000;
+        end -= 8;
+        let (high, low) = (chunk / 10_000, chunk % 10_000);
+        pair(out, end, high / 100);
+        pair(out, end + 2, high % 100);
+        pair(out, end + 4, low / 100);
+        pair(out, end + 6, low % 100);
+    }
+    let mut rest = rest as u32;
+    while rest >= 100 {
+        end -= 2;
+        pair(out, end, rest % 100);
+        rest /= 100;
+    }
+    if rest >= 10 {
+        pair(out, end - 2, rest);
+    } else {
+        out[end - 1] = b'0' + rest as u8;
+    }
+}
+
+/// Appends `prefix` and the exception's [`ExceptionId::display_name`].
+fn push_exception(out: &mut Vec<u8>, prefix: &[u8], exception: &ExceptionId) {
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(exception.display_name().as_bytes());
+}
+
+/// Appends a thread id as `Display` prints it (`T<n>`).
+fn push_thread(out: &mut Vec<u8>, thread: ThreadId) {
+    out.extend_from_slice(ThreadId::PREFIX.as_bytes());
+    push_decimal(out, u64::from(thread.as_u32()));
+}
+
+/// Appends ` T<n>` per thread.
+fn push_threads(out: &mut Vec<u8>, threads: &[ThreadId]) {
+    for &thread in threads {
+        out.push(b' ');
+        push_thread(out, thread);
     }
 }
 
@@ -283,6 +436,32 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("raise vm_stop"), "{s}");
+    }
+
+    #[test]
+    fn decimals_match_fmt() {
+        let mut values = vec![0, u64::MAX, u64::MAX - 1];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, power + 1, next / 2 + 7]);
+            power = next;
+        }
+        values.extend([power - 1, power, power + 1]);
+        for value in values {
+            let mut out = b"x".to_vec();
+            let digits = push_decimal(&mut out, value);
+            assert_eq!(out, format!("x{value}").into_bytes());
+            assert_eq!(digits, value.to_string().len());
+            for width in [0, 4, 12, 20] {
+                let mut out = Vec::new();
+                push_decimal_right(&mut out, value, width);
+                assert_eq!(
+                    out,
+                    format!("{value:>width$}").into_bytes(),
+                    "{value} in {width}"
+                );
+            }
+        }
     }
 
     #[test]
